@@ -10,6 +10,8 @@
 package mccp_test
 
 import (
+	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -19,6 +21,7 @@ import (
 	"mccp/internal/cryptocore"
 	"mccp/internal/harness"
 	"mccp/internal/qos"
+	"mccp/internal/radio"
 	"mccp/internal/reconfig"
 	"mccp/internal/server"
 	"mccp/internal/sim"
@@ -60,6 +63,85 @@ func TestFastPathTableIIIdentical(t *testing.T) {
 		if fast1 != ref {
 			t.Errorf("%s: fast path %v Mbps != reference %v Mbps", c.name, fast1, ref)
 		}
+	}
+}
+
+// gcm1Stepped runs Table II's GCM 1-core cell — one stream of 2 KB AES-128
+// encrypts on a four-core device — stepping the engine one event at a
+// time. It returns the packets' virtual cycles, an FNV-64a digest of their
+// outputs and the engine events they took, warm-up excluded.
+func gcm1Stepped(t *testing.T, packets int) (cycles sim.Time, digest uint64, events int) {
+	t.Helper()
+	eng := sim.NewEngine()
+	dev := core.New(eng, core.Config{Cores: 4, QueueRequests: true})
+	cc := radio.NewCommController(dev)
+	mc := radio.NewMainController(dev, 99)
+	eng.Run()
+	keyID, _, err := mc.ProvisionKey(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := 0
+	cc.OpenChannel(core.Suite{Family: cryptocore.FamilyGCM, TagLen: 16}, keyID, func(c int, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch = c
+	})
+	eng.Run()
+
+	rng := rand.New(rand.NewSource(12))
+	h := fnv.New64a()
+	encrypt := func() {
+		nonce, payload := make([]byte, 12), make([]byte, harness.PacketBytes)
+		rng.Read(nonce)
+		rng.Read(payload)
+		done := false
+		cc.Encrypt(ch, nonce, nil, payload, func(out []byte, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(out)
+			done = true
+		})
+		for eng.Step() {
+			events++
+		}
+		if !done {
+			t.Fatal("packet did not complete")
+		}
+	}
+	encrypt() // warm the key cache and firmware path
+	events = 0
+	start := eng.Now()
+	for i := 0; i < packets; i++ {
+		encrypt()
+	}
+	return eng.Now() - start, h.Sum64(), events
+}
+
+// TestFastPathGCM1EventBudget pins the event coarsening of the Cryptographic
+// Unit's inline handshake: on the GCM 1-core cell the fast kernel stays
+// within 14 engine events per 16-byte block (about 10.7 with the handshake
+// settled inline, 21.8 with an event per handshake hop, 44 on the
+// reference path), while its cycles and output digest equal the reference
+// path's.
+func TestFastPathGCM1EventBudget(t *testing.T) {
+	const packets = 6
+	cycles, digest, events := gcm1Stepped(t, packets)
+	var refCycles sim.Time
+	var refDigest uint64
+	var refEvents int
+	onReference(func() { refCycles, refDigest, refEvents = gcm1Stepped(t, packets) })
+	if cycles != refCycles || digest != refDigest {
+		t.Errorf("fast (%d cycles, digest %#x) != reference (%d cycles, digest %#x)",
+			cycles, digest, refCycles, refDigest)
+	}
+	blocks := float64(packets * harness.PacketBytes / 16)
+	perBlock := float64(events) / blocks
+	t.Logf("events per block: fast %.2f, reference %.2f", perBlock, float64(refEvents)/blocks)
+	if perBlock > 14 {
+		t.Errorf("fast path takes %.2f events per block, budget 14", perBlock)
 	}
 }
 

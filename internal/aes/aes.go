@@ -7,10 +7,15 @@
 // mirrors the hardware the paper describes ("the SubBytes transformation
 // uses look up tables", iterative round architecture) and is easy to audit
 // against FIPS-197; it remains as EncryptRef, the oracle for the FIPS
-// vectors and the differential tests. The hot Encrypt path used by the
-// simulator runs the same rounds through T-tables derived at init from the
-// (itself derived) S-box — bit-identical output, an order of magnitude
-// less host work per simulated block.
+// vectors and the differential tests. Encrypt runs the same rounds through
+// T-tables derived at init from the (itself derived) S-box, with
+// bit-identical output.
+//
+// The simulated core, Core32, models only timing. It computes its block
+// values with the standard library's crypto/aes (AES-NI where the host has
+// it) whenever the installed round keys are the FIPS-197 expansion of a
+// key, and falls back to Encrypt for any other schedule. The model here is
+// the differential oracle that pins the two paths to the same bytes.
 package aes
 
 import (
@@ -163,9 +168,16 @@ func (c *Cipher) RoundKeys() []bits.Block { return c.enc }
 // blocks. In the MCCP this work is performed by the Key Scheduler, which
 // fills a core's Key Cache before the core may process a channel's packets.
 func ExpandKey(key []byte) []bits.Block {
+	out := make([]bits.Block, KeySize(len(key)).Rounds()+1)
+	expandInto(out, key)
+	return out
+}
+
+// expandInto writes key's Nr+1 round-key blocks into rk without allocating.
+func expandInto(rk []bits.Block, key []byte) {
 	nk := len(key) / 4
-	nr := KeySize(len(key)).Rounds()
-	w := make([]uint32, 4*(nr+1))
+	var buf [4 * 15]uint32
+	w := buf[:4*len(rk)]
 	for i := 0; i < nk; i++ {
 		w[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 | uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
 	}
@@ -181,11 +193,9 @@ func ExpandKey(key []byte) []bits.Block {
 		}
 		w[i] = w[i-nk] ^ t
 	}
-	out := make([]bits.Block, nr+1)
-	for r := range out {
-		out[r] = bits.BlockFromWords([4]uint32{w[4*r], w[4*r+1], w[4*r+2], w[4*r+3]})
+	for r := range rk {
+		rk[r] = bits.BlockFromWords([4]uint32{w[4*r], w[4*r+1], w[4*r+2], w[4*r+3]})
 	}
-	return out
 }
 
 func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
@@ -198,9 +208,10 @@ func subWord(w uint32) uint32 {
 // Encrypt enciphers one block. Only encryption exists in the paper's
 // hardware ("Because AES-CCM and AES-GCM modes only use encryption mode, AES
 // decryption algorithm was not implemented"); Decrypt below is provided for
-// the software reference implementations and tests. This is the simulator's
-// hot path, so it runs the rounds through the derived T-tables; EncryptRef
-// is the structural reference it must match.
+// the software reference implementations and tests. It runs the rounds
+// through the derived T-tables; EncryptRef is the structural reference it
+// must match, and Core32 falls back to it for a schedule that is not a
+// FIPS-197 expansion.
 func (c *Cipher) Encrypt(in bits.Block) bits.Block {
 	nr := c.size.Rounds()
 	k := c.enc[0]

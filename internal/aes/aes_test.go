@@ -214,3 +214,90 @@ func TestEncryptMatchesRef(t *testing.T) {
 		}
 	}
 }
+
+// TestCore32StdlibMatchesModel pins the core's block values on the
+// standard-library path to this package's T-table and structural
+// encryptions, for every key size over random keys and blocks.
+func TestCore32StdlibMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{16, 24, 32} {
+		for i := 0; i < 50; i++ {
+			key := make([]byte, n)
+			rng.Read(key)
+			model := MustNew(key)
+			core := NewCore32()
+			core.LoadKeys(model.Size(), model.RoundKeys())
+			if core.std == nil {
+				t.Fatalf("AES-%d: FIPS schedule did not take the standard-library path", n*8)
+			}
+			for j := 0; j < 20; j++ {
+				var in bits.Block
+				rng.Read(in[:])
+				ready := core.Start(uint64(j), in)
+				if want := uint64(j) + model.Size().CoreCycles(); ready != want {
+					t.Fatalf("AES-%d: ready at %d, want %d", n*8, ready, want)
+				}
+				got := core.Collect()
+				if want := model.Encrypt(in); got != want {
+					t.Fatalf("AES-%d: core %s != Encrypt %s", n*8, got.Hex(), want.Hex())
+				}
+				if want := model.EncryptRef(in); got != want {
+					t.Fatalf("AES-%d: core %s != EncryptRef %s", n*8, got.Hex(), want.Hex())
+				}
+			}
+		}
+	}
+}
+
+// TestCore32AlteredScheduleFallsBack checks that a schedule which is not the
+// FIPS-197 expansion of its leading key words is computed by the model over
+// that exact schedule, and that reinstalling the genuine schedule afterwards
+// returns to the standard-library path.
+func TestCore32AlteredScheduleFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{16, 24, 32} {
+		key := make([]byte, n)
+		rng.Read(key)
+		genuine := ExpandKey(key)
+		for _, r := range []int{1, len(genuine) - 1} {
+			altered := append([]bits.Block(nil), genuine...)
+			altered[r][3] ^= 0x5A
+			model := &Cipher{size: KeySize(n), enc: altered}
+			core := NewCore32()
+			core.LoadKeys(KeySize(n), altered)
+			if core.std != nil {
+				t.Fatalf("AES-%d: altered round key %d took the standard-library path", n*8, r)
+			}
+			for j := 0; j < 20; j++ {
+				var in bits.Block
+				rng.Read(in[:])
+				core.Start(0, in)
+				if got, want := core.Collect(), model.EncryptRef(in); got != want {
+					t.Fatalf("AES-%d altered round key %d: core %s != model %s", n*8, r, got.Hex(), want.Hex())
+				}
+			}
+			core.LoadKeys(KeySize(n), genuine)
+			if core.std == nil {
+				t.Fatalf("AES-%d: genuine schedule after an altered one stayed on the model", n*8)
+			}
+			core.LoadKeys(KeySize(n), altered)
+			if core.std != nil {
+				t.Fatalf("AES-%d: remembered altered schedule took the standard-library path", n*8)
+			}
+		}
+	}
+}
+
+// TestCore32StartAllocationFree guards the staging of Start's input: the
+// standard-library call must not move the block to the heap.
+func TestCore32StartAllocationFree(t *testing.T) {
+	core := NewCore32()
+	core.LoadKeys(Key128, ExpandKey(make([]byte, 16)))
+	var in bits.Block
+	if n := testing.AllocsPerRun(100, func() {
+		core.Start(0, in)
+		in = core.Collect()
+	}); n != 0 {
+		t.Errorf("Start+Collect allocates %.1f times per block", n)
+	}
+}

@@ -1,6 +1,11 @@
 package aes
 
-import "mccp/internal/bits"
+import (
+	stdaes "crypto/aes"
+	"crypto/cipher"
+
+	"mccp/internal/bits"
+)
 
 // Core32 models the compact iterative AES encryption core embedded in each
 // Cryptographic Unit: a 32-bit datapath that consumes a 128-bit block as
@@ -10,14 +15,43 @@ import "mccp/internal/bits"
 // The core reads pre-computed round keys from the Key Cache; it performs no
 // key expansion of its own (that is the Key Scheduler's job). Like the
 // paper's core it implements encryption only.
+//
+// Only the timing is modeled; the block values are computed by the
+// standard library's AES (AES-NI where the host has it) whenever the
+// installed schedule is the FIPS-197 expansion of a key, and by this
+// package's Cipher otherwise (a schedule altered by hand, say). Both give
+// the same bytes for a FIPS schedule; the differential tests pin it.
 type Core32 struct {
 	size KeySize
 	keys []bits.Block
+	// std computes the block values when keys is a FIPS-197 expansion,
+	// nil otherwise.
+	std cipher.Block
+	// memo remembers the standard-library cipher of the last few schedules
+	// by value, so reinstalling a schedule derives nothing — after a Key
+	// Cache hit, and after the Key Scheduler re-expanded an evicted key.
+	memo      [memoSlots]stdMemo
+	memoClock uint64
 	// busyUntil is the absolute cycle at which the current computation
 	// finishes; the Cryptographic Unit uses it to model SAES/FAES overlap.
 	busyUntil uint64
-	out       bits.Block
-	started   bool
+	// in stages Start's input: handing a field (not the by-value argument)
+	// to the cipher.Block interface keeps the call allocation-free.
+	in, out bits.Block
+	started bool
+}
+
+// memoSlots is twice the Key Cache's four key contexts, so the memo still
+// holds a schedule the Key Cache has evicted and must re-expand.
+const memoSlots = 8
+
+// stdMemo is one remembered schedule and the cipher derived from it (nil
+// when the schedule is not a FIPS-197 expansion).
+type stdMemo struct {
+	size KeySize
+	keys [15]bits.Block
+	std  cipher.Block
+	used uint64
 }
 
 // NewCore32 returns an idle core with no key loaded.
@@ -32,6 +66,59 @@ func (c *Core32) LoadKeys(size KeySize, keys []bits.Block) {
 	}
 	c.size = size
 	c.keys = keys
+	c.std = c.stdCipher(size, keys)
+}
+
+// stdCipher returns the standard-library cipher for a schedule, deriving it
+// only when the schedule is not among the remembered ones.
+func (c *Core32) stdCipher(size KeySize, keys []bits.Block) cipher.Block {
+	c.memoClock++
+	victim := 0
+	for i := range c.memo {
+		m := &c.memo[i]
+		if m.used != 0 && m.size == size && sameBlocks(m.keys[:len(keys)], keys) {
+			m.used = c.memoClock
+			return m.std
+		}
+		if m.used < c.memo[victim].used {
+			victim = i
+		}
+	}
+	m := &c.memo[victim]
+	m.size, m.used = size, c.memoClock
+	copy(m.keys[:], keys)
+	m.std = deriveStd(size, keys)
+	return m.std
+}
+
+func sameBlocks(a, b []bits.Block) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// deriveStd recovers the cipher key from the head of the schedule (the
+// first Nk words of a FIPS-197 expansion are the key itself) and returns
+// its standard-library cipher if the whole schedule is that key's
+// expansion, nil otherwise.
+func deriveStd(size KeySize, keys []bits.Block) cipher.Block {
+	var raw [32]byte
+	key := raw[:size]
+	copy(key, keys[0][:])
+	copy(key[bits.BlockBytes:], keys[1][:])
+	var rk [15]bits.Block
+	expandInto(rk[:len(keys)], key)
+	if !sameBlocks(rk[:len(keys)], keys) {
+		return nil
+	}
+	std, err := stdaes.NewCipher(key)
+	if err != nil {
+		return nil
+	}
+	return std
 }
 
 // KeyLoaded reports whether round keys are installed.
@@ -48,7 +135,12 @@ func (c *Core32) Start(now uint64, in bits.Block) uint64 {
 	if c.keys == nil {
 		panic("aes: Start with no key loaded")
 	}
-	c.out = (&Cipher{size: c.size, enc: c.keys}).Encrypt(in)
+	if c.std != nil {
+		c.in = in
+		c.std.Encrypt(c.out[:], c.in[:])
+	} else {
+		c.out = (&Cipher{size: c.size, enc: c.keys}).Encrypt(in)
+	}
 	c.busyUntil = now + c.size.CoreCycles()
 	c.started = true
 	return c.busyUntil

@@ -16,6 +16,17 @@
 //   - FAES/FGFM are finalize instructions: they complete 5 cycles after the
 //     background engine finishes, so a serialized SAES;FAES pair costs
 //     44+5 = 49 cycles with a 128-bit key, reproducing T_GCMloop = 49.
+//
+// The controller drives the unit through the §V.B start/ack handshake: an
+// issue is accepted when the unit is idle, or stalls until the running
+// instruction's done edge. The two zero-delay hops of that handshake — the
+// accept strobe back to the controller and the stalled issue's retry at the
+// done edge — carry no timing of their own. The reference path schedules
+// each as an After(0) event; when sim.Engine.CanInline shows nothing else is
+// due in the cycle, the unit settles them synchronously instead (accept
+// right after the instruction is latched; OnDone, then the retry, at the
+// done edge), which runs them in exactly the order the event queue would.
+// Engine.Compat keeps the event-per-hop reference path.
 package cryptounit
 
 import (
@@ -239,18 +250,36 @@ func (u *Unit) Issue(in cuisa.Instr, onAccept func()) {
 	if u.Trace != nil {
 		u.Trace(now, in)
 	}
-	if onAccept != nil {
+	// With nothing else due this cycle the accept strobe would be the next
+	// event: deliver it in place once the instruction is latched. Events
+	// execute schedules at now queue behind it either way.
+	inline := onAccept != nil && u.eng.CanInline()
+	if onAccept != nil && !inline {
 		u.eng.After(0, onAccept)
 	}
 	u.execute(in)
+	if inline {
+		onAccept()
+	}
 }
 
 // complete idles the unit and wakes HALTed controllers / stalled issues.
+// When the single-slot stalled issue is the only waiter and nothing else is
+// due this cycle, its retry would be the next event: run it in place after
+// OnDone, as the event queue would.
 func (u *Unit) complete() {
 	u.busy = false
-	u.idleWaiters.Release()
+	retry := u.stalled && u.idleWaiters.Len() == 1 && u.eng.CanInline()
+	if retry {
+		u.idleWaiters.Clear()
+	} else {
+		u.idleWaiters.Release()
+	}
 	if u.OnDone != nil {
 		u.OnDone()
+	}
+	if retry {
+		u.stallRetry()
 	}
 }
 

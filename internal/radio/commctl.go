@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"errors"
 	"fmt"
 
 	"mccp/internal/bits"
@@ -87,6 +88,30 @@ type inflightReq struct {
 
 // ErrAuth mirrors modes.ErrAuth for the device path.
 var ErrAuth = modes.ErrAuth
+
+// ErrBadNonce reports a nonce whose length the channel's mode cannot
+// frame. It is raised before the device assigns cores; the returned error
+// wraps it with the mode and the offending length.
+var ErrBadNonce = errors.New("radio: nonce length not supported by the channel's mode")
+
+// checkNonce rejects the nonce lengths a family cannot frame: GCM framing
+// needs the 96-bit IV (modes.GCMJ0), CCM a 7..13-byte nonce and CTR the
+// full 16-byte initial counter block. CBC-MAC and hashing take no nonce.
+func checkNonce(f cryptocore.Family, n int) error {
+	ok := true
+	switch f {
+	case cryptocore.FamilyGCM:
+		ok = n == 12
+	case cryptocore.FamilyCCM:
+		ok = n >= 7 && n <= 13
+	case cryptocore.FamilyCTR:
+		ok = n == 16
+	}
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("%w: %v with a %d-byte nonce", ErrBadNonce, f, n)
+}
 
 // nopErr absorbs protocol acknowledgements nobody waits on.
 var nopErr = func(error) {}
@@ -187,6 +212,10 @@ func (cc *CommController) submit(ch int, encrypt bool, nonce, aad, payload, tag 
 		cb(nil, fmt.Errorf("radio: channel %d not open on this controller", ch))
 		return
 	}
+	if err := checkNonce(s.Family, len(nonce)); err != nil {
+		cb(nil, err)
+		return
+	}
 	cc.dev.Submit(ch, encrypt, len(aad), len(payload), func(a core.Assignment, err error) {
 		if err != nil {
 			cb(nil, err)
@@ -254,10 +283,7 @@ func (cc *CommController) streamsFor(a core.Assignment, s core.Suite, encrypt bo
 		return [2][]bits.Block{mac.In, ctr.In}, 2, err
 	case firmware.ModeCTR:
 		var icb bits.Block
-		if len(nonce) != 16 {
-			return streams, 0, fmt.Errorf("radio: CTR needs a 16-byte initial counter block")
-		}
-		copy(icb[:], nonce)
+		copy(icb[:], nonce) // 16 bytes, checked by submit
 		f, err := FrameCTR(icb, payload)
 		return one(f, err)
 	case firmware.ModeCBCMAC:

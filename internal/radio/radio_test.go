@@ -4,6 +4,7 @@ import (
 	"bytes"
 	stdaes "crypto/aes"
 	"crypto/cipher"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -373,4 +374,49 @@ func TestProtocolErrors(t *testing.T) {
 		}
 	})
 	r.eng.Run()
+}
+
+// TestBadNonceRefusedBeforeDispatch is the regression test for a remote
+// crash: an ENCRYPT or DECRYPT whose nonce the channel's mode cannot frame
+// (a GCM IV that is not 96 bits used to panic in modes.GCMJ0) must return
+// ErrBadNonce through the callback before the device claims a core. A
+// leaked claim would exhaust the two-core device below within two requests.
+func TestBadNonceRefusedBeforeDispatch(t *testing.T) {
+	cases := []struct {
+		suite core.Suite
+		bad   []int // nonce lengths the mode cannot frame
+		good  int
+	}{
+		{core.Suite{Family: cryptocore.FamilyGCM, TagLen: 16}, []int{0, 8, 13, 16}, 12},
+		{core.Suite{Family: cryptocore.FamilyCCM, TagLen: 8}, []int{0, 6, 14}, 13},
+		{core.Suite{Family: cryptocore.FamilyCCM, TagLen: 8, SplitCCM: true}, []int{5, 16}, 7},
+		{core.Suite{Family: cryptocore.FamilyCTR}, []int{12, 17}, 16},
+	}
+	for _, c := range cases {
+		r := newRig(core.Config{Cores: 2})
+		ch, _ := r.open(t, c.suite, 16)
+		pt := []byte("sixteen byte blk")
+		for _, n := range c.bad {
+			for _, encrypt := range []bool{true, false} {
+				var err error
+				done := false
+				cb := func(_ []byte, e error) { err, done = e, true }
+				if encrypt {
+					r.cc.Encrypt(ch, make([]byte, n), nil, pt, cb)
+				} else {
+					r.cc.Decrypt(ch, make([]byte, n), nil, pt, make([]byte, c.suite.TagLen), cb)
+				}
+				r.eng.Run()
+				if !done || !errors.Is(err, radio.ErrBadNonce) {
+					t.Fatalf("%v encrypt=%v nonce %d bytes: done=%v err=%v, want ErrBadNonce",
+						c.suite.Family, encrypt, n, done, err)
+				}
+			}
+		}
+		if got := r.dev.Stats.Rejected; got != 0 {
+			t.Errorf("%v: %d submissions reached the device", c.suite.Family, got)
+		}
+		// No core was claimed: a well-formed packet still goes through.
+		r.encrypt(t, ch, make([]byte, c.good), nil, pt)
+	}
 }

@@ -396,3 +396,56 @@ func TestLoadRunDeterministic(t *testing.T) {
 		t.Fatalf("no completions: %+v", a.Classes)
 	}
 }
+
+// TestBadNonceAnswersBadRequest is the wire-level regression test for a
+// remote crash: an ENCRYPT or DECRYPT on a GCM session with a nonce that is
+// not 12 bytes used to panic a shard goroutine in modes.GCMJ0. It must be
+// answered StatusBadRequest, and the session must keep serving.
+func TestBadNonceAnswersBadRequest(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv, lb := startLoopback(t, Config{Cluster: cluster.Config{Seed: 5}})
+	cl := dialClient(t, lb)
+	gcm, err := cl.Open(OpenRequest{Family: cryptocore.FamilyGCM, KeyLen: 16, TagLen: 16, Class: qos.Data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccm, err := cl.Open(OpenRequest{Family: cryptocore.FamilyCCM, KeyLen: 16, TagLen: 8, Class: qos.Data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("a radio frame of some length")
+	for _, c := range []struct {
+		sess  uint64
+		nonce int
+		tag   int
+	}{{gcm, 8, 16}, {gcm, 16, 16}, {gcm, 0, 16}, {ccm, 14, 8}, {ccm, 6, 8}} {
+		r, err := cl.Encrypt(c.sess, make([]byte, c.nonce), nil, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != StatusBadRequest {
+			t.Fatalf("encrypt with a %d-byte nonce: status %v, want bad-request", c.nonce, r.Status)
+		}
+		r, err = cl.Decrypt(c.sess, make([]byte, c.nonce), nil, payload, make([]byte, c.tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != StatusBadRequest {
+			t.Fatalf("decrypt with a %d-byte nonce: status %v, want bad-request", c.nonce, r.Status)
+		}
+	}
+	r, err := cl.Encrypt(gcm, make([]byte, 12), nil, payload)
+	if err != nil || r.Status != StatusOK {
+		t.Fatalf("well-formed encrypt after bad nonces: %v %v", r.Status, err)
+	}
+	st, err := cl.Retrieve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Verdicts[StatusBadRequest] != 10 || st.Verdicts[StatusOK] != 1 {
+		t.Fatalf("verdicts %v, want 10 bad-request and 1 ok", st.Verdicts)
+	}
+	cl.Close()
+	srv.Close()
+	waitGoroutines(t, base)
+}

@@ -21,11 +21,13 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"mccp/internal/cryptocore"
 	"mccp/internal/qos"
+	"mccp/internal/radio"
 	"mccp/internal/sim"
 	"mccp/internal/verdict"
 )
@@ -123,8 +125,14 @@ func (s Status) String() string {
 // statusFor maps a cluster operation error to its protocol status: the
 // shared verdict value IS the status code, so the mapping is a cast of
 // the one classifier in internal/verdict (no second switch to keep in
-// sync with the cluster's counters).
-func statusFor(err error) Status { return Status(verdict.For(err)) }
+// sync with the cluster's counters). The one exception is a request the
+// radio refused as unframeable, which the client sent malformed.
+func statusFor(err error) Status {
+	if errors.Is(err, radio.ErrBadNonce) {
+		return StatusBadRequest
+	}
+	return Status(verdict.For(err))
+}
 
 // Timing is the per-request timing struct an ENCRYPT/DECRYPT response
 // carries back to its caller.

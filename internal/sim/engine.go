@@ -80,11 +80,12 @@ type Engine struct {
 	FreqHz float64
 
 	// Compat disables the fast paths layered on this kernel (PicoBlaze
-	// instruction batching, crossbar burst transfers, bulk FIFO moves) and
-	// forces the cycle-by-cycle reference behaviour. Virtual-time results
-	// are identical either way — the differential determinism tests assert
-	// it — so Compat exists as the reference oracle, not as a mode users
-	// should need.
+	// instruction batching, crossbar burst transfers, bulk FIFO moves, the
+	// Cryptographic Unit's inline start/ack handshake — every CanInline
+	// caller) and forces the cycle-by-cycle reference behaviour.
+	// Virtual-time results are identical either way — the differential
+	// determinism tests assert it — so Compat exists as the reference
+	// oracle, not as a mode users should need.
 	Compat bool
 }
 
@@ -174,6 +175,24 @@ func (e *Engine) TryAdvance(t Time) bool {
 	}
 	e.now = t
 	return true
+}
+
+// CanInline reports whether a zero-delay continuation may run synchronously
+// inside the current event rather than through After(0): Compat is off and
+// no pending event is due at the current cycle (the wheel bucket for now is
+// empty and the heap top lies later). A continuation scheduled with After(0)
+// would then be the next event to run, so running it in place — after the
+// scheduling event's remaining work, which the caller must ensure is
+// independent of it — preserves the reference event order. O(1).
+func (e *Engine) CanInline() bool {
+	if e.Compat {
+		return false
+	}
+	i := int(e.now) & wheelMask
+	if e.occ[i>>6]&(1<<uint(i&63)) != 0 {
+		return false
+	}
+	return len(e.heap) == 0 || e.heap[0].at > e.now
 }
 
 // Step runs the earliest pending event, advancing the clock to its
@@ -393,6 +412,15 @@ func (w *Waiters) Release() {
 		fns[i] = nil // release the closures for GC
 	}
 	w.spare = fns[:0]
+}
+
+// Clear discards every parked callback without running it. A component
+// that settles its sole waiter in place (see Engine.CanInline) uses it.
+func (w *Waiters) Clear() {
+	for i := range w.fns {
+		w.fns[i] = nil // release the closures for GC
+	}
+	w.fns = w.fns[:0]
 }
 
 // Len reports the number of parked callbacks.

@@ -318,6 +318,73 @@ func TestNextAtAndTryAdvance(t *testing.T) {
 	}
 }
 
+func TestCanInline(t *testing.T) {
+	e := NewEngine()
+	if !e.CanInline() {
+		t.Error("CanInline refused on an empty queue")
+	}
+	// Later events, in the wheel and in the heap, do not interleave.
+	e.After(1, func() {})
+	e.At(wheelSize+40, func() {})
+	if !e.CanInline() {
+		t.Error("CanInline refused with only later events pending")
+	}
+	// An event in the current cycle's wheel bucket does.
+	e.After(0, func() {})
+	if e.CanInline() {
+		t.Error("CanInline allowed with an event in the current wheel bucket")
+	}
+	e.Run()
+
+	// A heap event due at now does too: two far events at the same cycle
+	// both sit in the heap, and while the first runs the second is the
+	// heap top at now, with the current wheel bucket empty.
+	e = NewEngine()
+	far := Time(wheelSize + 44)
+	checked := false
+	e.At(far, func() {
+		if e.CanInline() {
+			t.Error("CanInline allowed with the heap top due at now")
+		}
+		checked = true
+	})
+	e.At(far, func() {
+		if !e.CanInline() {
+			t.Error("CanInline refused once the last event of the cycle runs")
+		}
+	})
+	e.Run()
+	if !checked {
+		t.Fatal("heap-top case did not run")
+	}
+
+	// Compat keeps every continuation on the event queue.
+	e = NewEngine()
+	e.Compat = true
+	if e.CanInline() {
+		t.Error("CanInline allowed under Compat")
+	}
+}
+
+func TestWaitersClear(t *testing.T) {
+	e := NewEngine()
+	w := NewWaiters(e)
+	ran := 0
+	w.Park(func() { ran++ })
+	w.Park(func() { ran++ })
+	w.Clear()
+	if w.Len() != 0 {
+		t.Fatalf("Len after Clear = %d", w.Len())
+	}
+	w.Release()
+	w.Park(func() { ran += 10 })
+	w.Release()
+	e.Run()
+	if ran != 10 {
+		t.Errorf("ran = %d, want only the waiter parked after Clear", ran)
+	}
+}
+
 func TestTryAdvanceHonorsRunUntilHorizon(t *testing.T) {
 	// A batching component must not advance past the RunUntil deadline.
 	e := NewEngine()
