@@ -335,7 +335,7 @@ func BenchmarkLoadCurve(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = p // measured above; subruns report the cells
 			}
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+			v, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
 			b.ReportMetric(p.TotalOfferedMbps, "offered_Mbps")
 			b.ReportMetric(p.TotalDeliveredMbps, "delivered_Mbps")
 			b.ReportMetric(100*v.LossFrac, "voice_loss_pct")
@@ -374,7 +374,7 @@ func BenchmarkWireLatency(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = p // measured above; subruns report the cells
 			}
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+			v, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
 			b.ReportMetric(p.TotalOfferedMbps, "offered_Mbps")
 			b.ReportMetric(p.WireMbps, "wire_Mbps")
 			b.ReportMetric(float64(v.P99), "voice_wire_p99_cycles")
@@ -411,7 +411,7 @@ func BenchmarkReconfigUnderLoad(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = run // measured above; subruns report the cells
 			}
-			v, bg := run.Cell(qos.Voice), run.Cell(qos.Background)
+			v, bg := run.Classes.Cell(qos.Voice), run.Classes.Cell(qos.Background)
 			b.ReportMetric(run.TrueWindowMillis, "window_ms")
 			b.ReportMetric(run.BaselineDelivered, "baseline_delivered_Mbps")
 			b.ReportMetric(run.DuringDelivered, "during_delivered_Mbps")
@@ -455,7 +455,7 @@ func BenchmarkFaultCurves(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = p // measured above; subruns report the cells
 			}
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+			v, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
 			recovered := 0.0
 			if p.Recovered {
 				recovered = 1
@@ -510,7 +510,7 @@ func BenchmarkRecoveryCurves(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = p // measured above; subruns report the cells
 			}
-			v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+			v, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
 			lifted := 0.0
 			if p.BrownoutLifted {
 				lifted = 1

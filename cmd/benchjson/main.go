@@ -17,8 +17,14 @@
 // under a deliberately generous budget in seconds), -clusterscale (the
 // pipelined cluster dispatcher's host-scaling ratio, derated to the
 // run's CPU count and skipped on single-CPU machines) and -allocspacket
-// (the zero-alloc packet path's allocations-per-packet ceiling). Exit
-// status: 0 clean, 1 regression/budget violation, 2 usage/IO error.
+// (the zero-alloc packet path's allocations-per-packet ceiling).
+//
+// -smoke runs every smoke gate registered in harness.Experiments (E13–E18
+// today; each gate's bounds are documented on its Smoke function) in
+// process, prints each verdict with its checks and detail lines, and
+// fails if any check fails. The gates need no bench input, so
+// `benchjson -smoke` alone is a complete invocation. Exit status: 0
+// clean, 1 regression/budget/gate violation, 2 usage/IO error.
 package main
 
 import (
@@ -32,7 +38,6 @@ import (
 	"mccp/internal/benchfmt"
 	"mccp/internal/harness"
 	"mccp/internal/obs"
-	"mccp/internal/qos"
 )
 
 func main() {
@@ -46,12 +51,7 @@ func main() {
 	hostBudget := flag.String("hostbudget", "", "host-speed smoke check, 'BenchName=seconds': fail if that benchmark's wall clock exceeded the budget")
 	clusterScale := flag.String("clusterscale", "", "cluster host-scaling gate, 'Top:Base=ratio' (e.g. 'Cluster/shards=8:Cluster/shards=1=1.5'): fail if Top's host_Mbps is below ratio x Base's; derated to 0.6 x GOMAXPROCS and skipped on single-CPU runs, where host-parallel speedup is impossible")
 	allocsBudget := flag.String("allocspacket", "", "allocation ceiling, 'BenchName=allocs': fail if the benchmark's allocs_op per packet exceeds the ceiling")
-	loadSmoke := flag.Bool("loadsmoke", false, "run the E13 mini load curve in-process and fail if the voice class loses >1% of its packets at 0.5x saturation under qos-priority")
-	wireSmoke := flag.Bool("wiresmoke", false, "run the one-point loopback E14 gate and fail if voice wire p99 at 0.5x saturation exceeds 2x the in-process E13 p99, or if any voice packet is shed")
-	reconfigSmoke := flag.Bool("reconfigsmoke", false, "run the E15 mini rolling-swap gate and fail if voice loses >1% or its p99 inflates past 3x baseline during the bitstream windows under qos-priority")
-	faultSmoke := flag.Bool("faultsmoke", false, "run the E16 mini fault drill (1 of 4 shards crashed mid-load plus a churn storm at 0.9x saturation under qos-priority) and fail if voice loses >1%, any session is lost, or voice delivery does not recover within 3 windows")
-	healSmoke := flag.Bool("healsmoke", false, "run the E17 mini recovery drill (1 of 4 shards crashed mid-load at 0.9x saturation, restart loop armed with the icap source) and fail if voice loses >1%, any session is lost, the shard does not restart and rejoin, the brownout is not fully lifted, or delivered capacity does not climb back to the pre-crash rate")
-	obsSmoke := flag.Bool("obssmoke", false, "run the E18 observability gate and fail if the traced run is not bit-identical run-to-run, the stage sums do not tile the end-to-end latency, the traced percentiles diverge from the untraced E13 point, the flight recorder produces no postmortem from a one-crash drill, or a disabled tracer costs more than 5% wall clock")
+	smoke := flag.Bool("smoke", false, "run every registered experiment smoke gate (E13-E18) in-process and fail if any check fails")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -62,45 +62,14 @@ func main() {
 	// The smoke gates run the simulation directly (no bench input needed),
 	// so they are checked before input parsing and compose with the other
 	// gates when input is present.
-	if *loadSmoke {
-		if err := checkLoadSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+	if *smoke {
+		if failed := runSmokeGates(); len(failed) > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: smoke gate(s) failed: %s\n", strings.Join(failed, ", "))
 			os.Exit(1)
 		}
-	}
-	if *wireSmoke {
-		if err := checkWireSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+		if *in == "-" && *out == "" && *baselinePath == "" && *hostOut == "" {
+			return // smoke-only invocation
 		}
-	}
-	if *reconfigSmoke {
-		if err := checkReconfigSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *faultSmoke {
-		if err := checkFaultSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *healSmoke {
-		if err := checkHealSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *obsSmoke {
-		if err := checkObsSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if (*loadSmoke || *wireSmoke || *reconfigSmoke || *faultSmoke || *healSmoke || *obsSmoke) &&
-		*in == "-" && *out == "" && *baselinePath == "" && *hostOut == "" {
-		return // smoke-only invocation
 	}
 
 	results, err := parseInput(*in)
@@ -269,124 +238,31 @@ func checkAllocsPerPacket(spec string, results []benchfmt.Result) error {
 	return nil
 }
 
-// checkLoadSmoke runs the 3-point E13 mini load curve (a few hundred
-// simulated packets, deterministic) and enforces the voice-protection
-// floor: under qos-priority, voice loss at 0.5x saturation must stay at
-// or below 1%.
-func checkLoadSmoke() error {
-	v := harness.LoadSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the QoS layer no longer protects voice under moderate load", v)
+// runSmokeGates runs every registered smoke gate in experiment order,
+// prints each verdict with its checks and detail lines, and returns the
+// names of the gates that failed.
+func runSmokeGates() []string {
+	var failed []string
+	for _, id := range harness.ExperimentIDs() {
+		exp := harness.Experiments[id]
+		if exp.Smoke == nil {
+			continue
+		}
+		v := exp.Smoke()
+		status := "ok"
+		if !v.Pass() {
+			status = "FAIL"
+			failed = append(failed, v.Gate)
+		}
+		fmt.Printf("benchjson: %s %s smoke gate %s\n", exp.ID, v.Gate, status)
+		for _, c := range v.Checks {
+			fmt.Printf("benchjson:   %s\n", c)
+		}
+		for _, note := range v.Notes {
+			fmt.Printf("benchjson:   %s\n", note)
+		}
 	}
-	fmt.Printf("benchjson: %s\n", v)
-	for _, p := range v.Points {
-		voice := p.Cell(qos.Voice)
-		bg := p.Cell(qos.Background)
-		fmt.Printf("benchjson:   offered %.2fx: voice loss %.2f%% p99 %d cyc, background loss %.2f%%\n",
-			p.Offered, 100*voice.LossFrac, voice.P99, 100*bg.LossFrac)
-	}
-	return nil
-}
-
-// checkWireSmoke runs the one-point loopback E14 measurement (a real
-// mccpserver on an in-process transport, deterministic) and enforces the
-// service-boundary bar: at 0.5x saturation, voice wire p99 must stay
-// within 2x of the in-process E13 p99 and no voice packet may be shed.
-func checkWireSmoke() error {
-	v := harness.WireSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the server front end costs voice more than the service boundary should", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	bg := v.Point.Cell(qos.Background)
-	fmt.Printf("benchjson:   offered %.2fx: wire %.0f Mbps, background wire p99 %d cyc, loss %.2f%%\n",
-		v.Point.Offered, v.Point.WireMbps, bg.P99, 100*bg.LossFrac)
-	return nil
-}
-
-// checkReconfigSmoke runs the E15 mini rolling-swap gate (two shards,
-// qos-priority, staging-RAM bitstream, deterministic) and enforces the
-// agility bar: during the bitstream windows voice loss must stay at or
-// below 1% and the during-swap voice p99 within 3x the all-shards
-// baseline plus scheduling slack.
-func checkReconfigSmoke() error {
-	v := harness.ReconfigSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — rolling swaps no longer protect voice while a shard is down", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	bg := v.Run.Cell(qos.Background)
-	fmt.Printf("benchjson:   source %s (%.1f ms window): delivered %.0f -> %.0f Mbps during swap, background loss %.2f%%\n",
-		v.Run.Source, v.Run.TrueWindowMillis, v.Run.BaselineDelivered, v.Run.DuringDelivered, 100*bg.LossFrac)
-	return nil
-}
-
-// checkFaultSmoke runs the one-row loopback E16 fault drill (one crash in
-// a 4-shard cluster with a churn storm, 0.9x saturation, qos-priority,
-// deterministic) and enforces the robustness bar: voice loss within 1%,
-// every corpse session re-homed with none lost, and voice delivery back
-// at 99% within the recovery limit.
-func checkFaultSmoke() error {
-	v := harness.FaultSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the fault plane no longer keeps voice alive through a shard crash", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	bg := v.Point.Cell(qos.Background)
-	fmt.Printf("benchjson:   crashes %d churn %d: %d sessions churned, background loss %.2f%%, worst rehome %d cyc\n",
-		v.Point.Row.Crashes, v.Point.Row.Churn, v.Point.Churned, 100*bg.LossFrac, v.Point.RehomeTook)
-	return nil
-}
-
-// checkHealSmoke runs the one-drill loopback E17 recovery gate (one
-// crash in a 4-shard cluster at 0.9x saturation, qos-priority, restart
-// from the icap source, deterministic) and enforces the self-healing
-// bar: the corpse restarts and rejoins, voice rides through both the
-// fall and the climb within 1% loss with no session lost, the brownout
-// mask lifts fully, and delivered capacity climbs back to the pre-crash
-// rate.
-func checkHealSmoke() error {
-	v := harness.HealSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the recovery plane no longer brings a crashed shard back", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	bg := v.Point.Cell(qos.Background)
-	fmt.Printf("benchjson:   source %s: restart %d cyc (%.1f ms at true speed), %d sessions rebalanced back, background loss %.2f%%\n",
-		v.Point.Source, v.Point.RestartCycles, v.Point.TrueRestartMillis,
-		healRebalanced(v.Point), 100*bg.LossFrac)
-	return nil
-}
-
-// checkObsSmoke runs the E18 observability gate: the traced measurement
-// must replay bit-identically, reconcile exactly with the untraced E13
-// point (same percentiles, stage sums tiling the totals), the flight
-// recorder must freeze at least one postmortem during the one-crash
-// drill, and a disabled-but-attached tracer must stay within 5% of
-// tracer-absent wall clock.
-func checkObsSmoke() error {
-	v := harness.ObsSmoke()
-	if !v.Pass() {
-		return fmt.Errorf("%s — the observability plane is perturbing or misreporting the measurement", v)
-	}
-	fmt.Printf("benchjson: %s\n", v)
-	voice := v.Point.StageCell(qos.Voice)
-	bg := v.Point.StageCell(qos.Background)
-	fmt.Printf("benchjson:   offered %.2fx: %d spans (digest %x); voice p99 %d cyc (queue %d core %d), background p99 %d cyc (queue %d core %d)\n",
-		v.Point.Offered, v.Point.Spans, v.Point.TraceDigest,
-		voice.TotalP99, voice.P99[0], voice.P99[3],
-		bg.TotalP99, bg.P99[0], bg.P99[3])
-	return nil
-}
-
-// healRebalanced sums the sessions the recovery plane shifted back onto
-// rebuilt shards.
-func healRebalanced(p harness.RecoveryPoint) int {
-	n := 0
-	for _, ev := range p.Heals {
-		n += ev.Rebalanced
-	}
-	return n
+	return failed
 }
 
 // cutLast splits s around its last occurrence of sep.

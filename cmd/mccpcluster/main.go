@@ -474,13 +474,11 @@ func runFaults(spec string, shards, cores int, router, policy string,
 			}
 		}
 		voice := 100.0
-		for _, c := range win.Classes {
-			if c.Class == qos.Voice && c.Submitted > 0 {
-				voice = 100 * float64(c.Completed) / float64(c.Submitted)
-			}
+		if v := win.Classes.Cell(qos.Voice); v.Submitted > 0 {
+			voice = 100 * float64(v.Completed) / float64(v.Submitted)
 		}
 		fmt.Printf("%-8d %10.0f %9.2f%% %8d %s\n",
-			w, win.DeliveredMbps(), voice, win.Errors, strings.Join(notes, "; "))
+			w, win.Classes.DeliveredMbps(), voice, win.Errors, strings.Join(notes, "; "))
 	}
 	exitReport(cl)
 }
@@ -620,13 +618,11 @@ func runHeal(shards, cores int, router, policy string,
 				i, src.Name, rep.Took, moved))
 		}
 		voice := 100.0
-		for _, c := range win.Classes {
-			if c.Class == qos.Voice && c.Submitted > 0 {
-				voice = 100 * float64(c.Completed) / float64(c.Submitted)
-			}
+		if v := win.Classes.Cell(qos.Voice); v.Submitted > 0 {
+			voice = 100 * float64(v.Completed) / float64(v.Submitted)
 		}
 		fmt.Printf("%-8d %10.0f %9.2f%% %8d %s\n",
-			w, win.DeliveredMbps(), voice, win.Errors, strings.Join(notes, "; "))
+			w, win.Classes.DeliveredMbps(), voice, win.Errors, strings.Join(notes, "; "))
 	}
 	exitReport(cl)
 }

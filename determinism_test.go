@@ -306,7 +306,7 @@ func TestTraceDeterministic(t *testing.T) {
 		t.Fatalf("no spans decomposed: %+v", fast1)
 	}
 	for _, sc := range fast1.Cells {
-		cell := fast1.Cell(sc.Class)
+		cell := fast1.Classes.Cell(sc.Class)
 		if sc.TotalP50 != cell.P50 || sc.TotalP99 != cell.P99 {
 			t.Errorf("%v: traced percentiles (%d, %d) != E13 cell (%d, %d)",
 				sc.Class, sc.TotalP50, sc.TotalP99, cell.P50, cell.P99)
@@ -537,7 +537,7 @@ func TestRollingReconfigDeterministic(t *testing.T) {
 	if r.Digest == 0 || r.Legs != 2 {
 		t.Errorf("implausible run: digest %#x, %d legs", r.Digest, r.Legs)
 	}
-	if v := r.Cell(qos.Voice); v.Submitted == 0 || v.LossFrac > 0.01 {
+	if v := r.Classes.Cell(qos.Voice); v.Submitted == 0 || v.LossFrac > 0.01 {
 		t.Errorf("voice cell implausible during swaps: %+v", v)
 	}
 }

@@ -191,22 +191,13 @@ type OpenLoopWindow struct {
 	// Classes holds per-class counters for arrivals submitted in this
 	// window (every one resolved — windows close with drained queues),
 	// highest priority first.
-	Classes []OpenLoopClass
+	Classes qos.Cells
 	// ArrivalDigests is the per-shard FNV-64a fold of this window's
 	// arrival stream; Digest folds them in shard order.
 	ArrivalDigests []uint64
 	Digest         uint64
 	// Errors counts completions with unexpected verdicts.
 	Errors int
-}
-
-// DeliveredMbps sums the window's delivered per-class throughput.
-func (w OpenLoopWindow) DeliveredMbps() float64 {
-	total := 0.0
-	for _, c := range w.Classes {
-		total += c.DeliveredMbps
-	}
-	return total
 }
 
 // NewOpenLoopRunner opens the runner's sessions (class-major, placed by
@@ -361,41 +352,7 @@ func (r *OpenLoopRunner) RunWindow(horizon sim.Time) (OpenLoopWindow, error) {
 		w.Errors += p.errors
 	}
 
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(horizon) * sim.DefaultFreqHz / 1e6
-	}
-	for _, class := range qos.Classes() {
-		prof, have := r.byClass[class]
-		acc := qos.ClassStats{Class: class}
-		var samples []sim.Time
-		for s, sh := range r.cl.shards {
-			cur := sh.shaper.Stats(class)
-			acc.Accumulate(statsDelta(cur, r.prevStats[s][class]))
-			all := sh.shaper.AppendLatencySamples(class, nil)
-			samples = append(samples, all[r.prevSamples[s][class]:]...)
-		}
-		agg := OpenLoopClass{
-			Class:     class,
-			Submitted: acc.Submitted,
-			Completed: acc.Completed,
-			Shed:      acc.Shed,
-			Expired:   acc.Expired,
-			Aged:      acc.Aged,
-			Misses:    acc.DeadlineMisses,
-			Samples:   samples,
-		}
-		if !have && agg.Submitted == 0 {
-			continue
-		}
-		agg.P50 = qos.PercentileOf(samples, 50)
-		agg.P99 = qos.PercentileOf(samples, 99)
-		if agg.Submitted > 0 {
-			agg.LossFrac = float64(agg.Submitted-agg.Completed) / float64(agg.Submitted)
-		}
-		agg.OfferedMbps = toMbps(agg.Submitted * uint64(prof.Bytes))
-		agg.DeliveredMbps = toMbps(agg.Completed * uint64(prof.Bytes))
-		w.Classes = append(w.Classes, agg)
-	}
+	w.Classes = r.cl.classCells(r.byClass, horizon, r.prevStats, r.prevSamples)
 	r.snapshot()
 	return w, nil
 }

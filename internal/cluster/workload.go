@@ -291,29 +291,12 @@ type OpenLoopConfig struct {
 	Trace obs.TraceConfig
 }
 
-// OpenLoopClass is one class's aggregated open-loop measurement.
-type OpenLoopClass struct {
-	Class                                             qos.Class
-	Submitted, Completed, Shed, Expired, Aged, Misses uint64
-	// OfferedMbps and DeliveredMbps are at the modeled clock over the
-	// measurement horizon, summed across shards.
-	OfferedMbps, DeliveredMbps float64
-	// LossFrac is (Submitted-Completed)/Submitted.
-	LossFrac float64
-	// P50 and P99 are enqueue-to-completion latency percentiles in
-	// cycles, merged across every shard's samples.
-	P50, P99 sim.Time
-	// Samples holds the raw latency samples behind the percentiles
-	// (RunWindow only), so callers can merge distributions across
-	// windows instead of comparing per-window percentiles.
-	Samples []sim.Time
-}
-
 // OpenLoopResult is the RunOpenLoop summary.
 type OpenLoopResult struct {
-	// Classes aggregates per class, highest priority first; PerShard
-	// holds each shard's shaper counters in the same order.
-	Classes  []OpenLoopClass
+	// Classes aggregates per class over the horizon, highest priority
+	// first, with latency samples merged across shards; PerShard holds
+	// each shard's shaper counters in the same order.
+	Classes  qos.Cells
 	PerShard [][]qos.ClassStats
 	// ArrivalDigests fold every arrival's (session, sequence, virtual
 	// time) per shard — the determinism witness: same seed, same digests.
@@ -476,44 +459,11 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		res.Errors += p.errors
 	}
 
-	// Aggregate per-class counters and merged latency percentiles. Rates
-	// are over the per-shard measurement window, summed across shards.
 	byClass := map[qos.Class]arrivals.ClassProfile{}
 	for _, prof := range cfg.Profiles {
 		byClass[prof.Class] = prof
 	}
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(cfg.Horizon) * sim.DefaultFreqHz / 1e6
-	}
-	for _, class := range qos.Classes() {
-		prof, have := byClass[class]
-		acc := qos.ClassStats{Class: class}
-		var samples []sim.Time
-		for _, sh := range cl.shards {
-			acc.Accumulate(sh.shaper.Stats(class))
-			samples = sh.shaper.AppendLatencySamples(class, samples)
-		}
-		agg := OpenLoopClass{
-			Class:     class,
-			Submitted: acc.Submitted,
-			Completed: acc.Completed,
-			Shed:      acc.Shed,
-			Expired:   acc.Expired,
-			Aged:      acc.Aged,
-			Misses:    acc.DeadlineMisses,
-		}
-		if !have && agg.Submitted == 0 {
-			continue
-		}
-		agg.P50 = qos.PercentileOf(samples, 50)
-		agg.P99 = qos.PercentileOf(samples, 99)
-		if agg.Submitted > 0 {
-			agg.LossFrac = float64(agg.Submitted-agg.Completed) / float64(agg.Submitted)
-		}
-		agg.OfferedMbps = toMbps(agg.Submitted * uint64(prof.Bytes))
-		agg.DeliveredMbps = toMbps(agg.Completed * uint64(prof.Bytes))
-		res.Classes = append(res.Classes, agg)
-	}
+	res.Classes = cl.classCells(byClass, cfg.Horizon, nil, nil)
 	for s := range cl.shards {
 		res.PerShard[s] = cl.shards[s].shaper.AllStats()
 	}
@@ -522,6 +472,36 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		res.TraceDigest = cl.TraceDigest()
 	}
 	return res, nil
+}
+
+// classCells reduces every shard's shaper to one cell per class over a
+// horizon, highest priority first: counters summed across shards,
+// latency samples merged, rates over the per-shard horizon summed. With
+// prevStats and prevSamples set, each shard's counters and samples are
+// taken since those baselines (a windowed report). A class with no
+// profile appears only if it saw arrivals.
+func (c *Cluster) classCells(byClass map[qos.Class]arrivals.ClassProfile, horizon sim.Time,
+	prevStats [][qos.NumClasses]qos.ClassStats, prevSamples [][qos.NumClasses]int) qos.Cells {
+	var cells qos.Cells
+	for _, class := range qos.Classes() {
+		prof, have := byClass[class]
+		acc := qos.ClassStats{Class: class}
+		var samples []sim.Time
+		for s, sh := range c.shards {
+			st, skip := sh.shaper.Stats(class), 0
+			if prevStats != nil {
+				st, skip = statsDelta(st, prevStats[s][class]), prevSamples[s][class]
+			}
+			acc.Accumulate(st)
+			samples = append(samples, sh.shaper.AppendLatencySamples(class, nil)[skip:]...)
+		}
+		if !have && acc.Submitted == 0 {
+			continue
+		}
+		size := uint64(prof.Bytes)
+		cells = append(cells, qos.NewClassCell(acc, samples, acc.Submitted*size, acc.Completed*size, horizon))
+	}
+	return cells
 }
 
 // runOpenLoopShard is the arrival program body, running on the shard

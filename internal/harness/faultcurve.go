@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"strings"
 
-	"mccp/internal/cluster"
 	"mccp/internal/faults"
 	"mccp/internal/qos"
 	"mccp/internal/server"
@@ -95,14 +93,9 @@ type FaultPoint struct {
 	// WirePoint carries the per-class verdict/latency cells, digests and
 	// cluster cycles, built by the same reduction as the E14 table.
 	WirePoint
-	// Schedule is the printable fault plan the row ran under.
-	Schedule string
-	// Rehomes is the detector's fail-over log; Moved/Lost/RehomeTook
-	// aggregate it (Took is the worst single fail-over).
-	Rehomes    []server.RehomeEvent
-	Moved      int
-	Lost       int
-	RehomeTook sim.Time
+	// Failover is the fault plan the row ran under and what the
+	// detector did about it.
+	Failover
 	// RecoveryCycles is the worst crash-to-recovered span on the wire
 	// clock: from the crash's fire point to the end of the first window
 	// whose voice delivered fraction is back at VoiceRecovered.
@@ -113,6 +106,48 @@ type FaultPoint struct {
 	// tallies behind the recovery numbers.
 	Churned uint64
 	Windows []server.WindowLoad
+}
+
+// Failover is a fault drill's plan and fail-over log, shared by the
+// E16 and E17 points.
+type Failover struct {
+	// Schedule is the printable fault plan.
+	Schedule string
+	// Rehomes is the detector's fail-over log; Moved/Lost/RehomeTook
+	// aggregate it (RehomeTook is the worst single fail-over).
+	Rehomes    []server.RehomeEvent
+	Moved      int
+	Lost       int
+	RehomeTook sim.Time
+}
+
+// failoverOf summarizes a drill's schedule and fail-over log.
+func failoverOf(sched faults.Schedule, rehomes []server.RehomeEvent) Failover {
+	f := Failover{Schedule: sched.String(), Rehomes: rehomes}
+	for _, ev := range rehomes {
+		f.Moved += ev.Moved
+		f.Lost += ev.Lost
+		if ev.Took > f.RehomeTook {
+			f.RehomeTook = ev.Took
+		}
+	}
+	return f
+}
+
+// faultPolicy arms a server's fault plane with sched: the detector on,
+// and the brownout sized for offered x satMbps of the config's mix.
+func (c WireConfig) faultPolicy(sched faults.Schedule, offered, satMbps float64) *server.FaultPolicy {
+	var shares [qos.NumClasses]float64
+	for _, p := range c.Mix {
+		shares[p.Class] += p.Share
+	}
+	return &server.FaultPolicy{
+		Schedule:        sched,
+		Detect:          true,
+		OfferedMbps:     offered * satMbps,
+		SatMbpsPerShard: satMbps / float64(c.Shards),
+		Shares:          shares,
+	}
 }
 
 // FaultResult is the E16 table.
@@ -128,11 +163,7 @@ type FaultResult struct {
 // fixed-load mix through it.
 func FaultCurves(cfg FaultConfig) FaultResult {
 	cfg.fill()
-	sat := cfg.Wire.SatMbps
-	if sat <= 0 {
-		sat = SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
-			float64(cfg.Wire.CoresPerShard) / 4
-	}
+	sat := cfg.Wire.saturation()
 	res := FaultResult{SaturationMbps: sat, Offered: cfg.Offered, Sessions: cfg.Wire.Sessions}
 	for _, pol := range cfg.Policies {
 		for _, row := range cfg.Rows {
@@ -171,77 +202,20 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 			panic(err) // experiment drivers pass literal configurations
 		}
 	}
-	var shares [qos.NumClasses]float64
-	for _, p := range wire.Mix {
-		shares[p.Class] += p.Share
-	}
-
-	srv, err := server.New(server.Config{
-		Cluster: cluster.Config{
-			Shards:        wire.Shards,
-			CoresPerShard: wire.CoresPerShard,
-			Router:        wire.Router,
-			Policy:        wire.Policy,
-			QueueRequests: true,
-			Shape:         true,
-			ShardWindow:   wire.BatchOps,
-			Seed:          wire.Seed,
-			Shaper: qos.Config{
-				Capacity:   wire.Capacity,
-				QueueDepth: wire.QueueDepth,
-				Drain:      wire.Drain,
-			},
-		},
-		BatchOps: wire.BatchOps,
-		Faults: &server.FaultPolicy{
-			Schedule:        sched,
-			Detect:          true,
-			OfferedMbps:     cfg.Offered * satMbps,
-			SatMbpsPerShard: satMbps / float64(wire.Shards),
-			Shares:          shares,
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	load := wire.loadConfig(cfg.Offered, satMbps)
+	load.WindowTallies, load.ChurnSessions, load.ChurnFrom = true, row.Churn, cfg.FaultWindow
+	srv, res := wire.serve(wire.faultPolicy(sched, cfg.Offered, satMbps), load)
 	defer srv.Close()
-	lb := server.NewLoopback()
-	srv.Serve(lb)
-
-	bitsPerCycle := cfg.Offered * satMbps * 1e6 / sim.DefaultFreqHz
-	load, err := server.RunLoad(func() (net.Conn, error) { return lb.Dial() }, server.LoadConfig{
-		Sessions:      wire.Sessions,
-		Mix:           wire.Mix,
-		Process:       wire.Process,
-		BitsPerCycle:  bitsPerCycle,
-		WindowCycles:  wire.WindowCycles,
-		Windows:       wire.Windows,
-		Seed:          wire.Seed,
-		WindowTallies: true,
-		ChurnSessions: row.Churn,
-		ChurnFrom:     cfg.FaultWindow,
-	})
-	if err != nil {
-		panic(err)
-	}
 
 	point := FaultPoint{
 		Policy:    policy,
 		Row:       row,
-		WirePoint: buildWirePoint(cfg.Offered, satMbps, wire.Sessions, load),
-		Schedule:  sched.String(),
-		Rehomes:   srv.FaultReport(),
-		Churned:   load.Churned,
-		Windows:   load.Windows,
+		WirePoint: buildWirePoint(cfg.Offered, satMbps, wire.Sessions, res),
+		Failover:  failoverOf(sched, srv.FaultReport()),
+		Churned:   res.Churned,
+		Windows:   res.Windows,
 	}
-	for _, ev := range point.Rehomes {
-		point.Moved += ev.Moved
-		point.Lost += ev.Lost
-		if ev.Took > point.RehomeTook {
-			point.RehomeTook = ev.Took
-		}
-	}
-	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, load.Windows)
+	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, res.Windows)
 	if inspect != nil {
 		inspect(srv)
 	}
@@ -287,11 +261,9 @@ func FormatFaultCurves(r FaultResult) string {
 	fmt.Fprintf(&b, "%-12s %7s %6s | %8s %8s %8s | %10s | %6s %5s %12s %12s\n",
 		"policy", "crashes", "churn", "v loss%", "bg loss%", "loss%", "v p99 cyc", "moved", "lost", "rehome cyc", "recover cyc")
 	for _, p := range r.Points {
-		v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
-		rec := fmt.Sprintf("%d", p.RecoveryCycles)
-		if !p.Recovered {
-			rec = "DNF"
-		} else if p.Row.Crashes == 0 {
+		v, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
+		rec := cyclesOrDNF(p.RecoveryCycles, p.Recovered)
+		if p.Recovered && p.Row.Crashes == 0 {
 			rec = "-"
 		}
 		fmt.Fprintf(&b, "%-12s %7d %6d | %7.2f%% %7.2f%% %7.2f%% | %10d | %6d %5d %12d %12s\n",
@@ -302,48 +274,14 @@ func FormatFaultCurves(r FaultResult) string {
 	return b.String()
 }
 
-// FaultSmokeVerdict is the CI -faultsmoke gate's result: with 1 of 4
+// FaultSmoke runs the one-row loopback E16 gate CI checks: with 1 of 4
 // shards crashed mid-load (plus an 8-session churn storm) at 0.9x
-// saturation under qos-priority, every session on the corpse must
-// re-home (none lost), voice loss must stay within 1%, and voice
-// delivery must recover within the window limit.
-type FaultSmokeVerdict struct {
-	VoiceLossFrac  float64
-	Moved          int
-	Lost           int
-	Rehomes        int
-	Recovered      bool
-	RecoveryCycles sim.Time
-	RecoveryLimit  sim.Time
-	Point          FaultPoint
-}
-
-// Pass reports whether the gate held.
-func (v FaultSmokeVerdict) Pass() bool {
-	return v.VoiceLossFrac <= 0.01 &&
-		v.Lost == 0 &&
-		v.Rehomes >= 1 &&
-		v.Recovered &&
-		v.RecoveryCycles <= v.RecoveryLimit
-}
-
-func (v FaultSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	rec := fmt.Sprintf("%d", v.RecoveryCycles)
-	if !v.Recovered {
-		rec = "DNF"
-	}
-	return fmt.Sprintf("faultsmoke %s: voice loss %.2f%% (limit 1%%), rehomed %d sessions across %d fail-overs with %d lost (limit 0), recovery %s cycles (limit %d)",
-		verdict, 100*v.VoiceLossFrac, v.Moved, v.Rehomes, v.Lost, rec, v.RecoveryLimit)
-}
-
-// FaultSmoke runs the one-row loopback E16 gate CI checks. Small on
-// purpose: 64 sessions, 24 short windows, one crash in a 4-shard
-// cluster with the churn storm on.
-func FaultSmoke() FaultSmokeVerdict {
+// saturation under qos-priority, the crash must be failed over, every
+// session on the corpse must re-home (none lost), voice loss must stay
+// within 1%, and voice delivery must recover within 3 windows of the
+// crash. Small on purpose: 64 sessions, 24 short windows. Measured is
+// the FaultPoint.
+func FaultSmoke() Verdict {
 	cfg := FaultConfig{
 		Wire: WireConfig{
 			Shards:       4,
@@ -357,14 +295,27 @@ func FaultSmoke() FaultSmokeVerdict {
 	}
 	res := FaultCurves(cfg)
 	p := res.Points[0]
-	return FaultSmokeVerdict{
-		VoiceLossFrac:  p.Cell(qos.Voice).LossFrac,
-		Moved:          p.Moved,
-		Lost:           p.Lost,
-		Rehomes:        len(p.Rehomes),
-		Recovered:      p.Recovered,
-		RecoveryCycles: p.RecoveryCycles,
-		RecoveryLimit:  3 * 4096,
-		Point:          p,
+	voice, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
+	const recoveryLimit = 3 * 4096
+	return Verdict{
+		Gate: "faults",
+		Checks: []Check{
+			check("voice loss", voice.LossFrac <= 0.01, "%.2f%% (limit 1%%)", 100*voice.LossFrac),
+			check("fail-overs", len(p.Rehomes) >= 1, "%d (need >= 1)", len(p.Rehomes)),
+			check("sessions lost", p.Lost == 0, "%d of %d re-homed (limit 0)", p.Lost, p.Moved),
+			check("voice recovery", p.Recovered && p.RecoveryCycles <= recoveryLimit,
+				"%s cycles (limit %d)", cyclesOrDNF(p.RecoveryCycles, p.Recovered), recoveryLimit),
+		},
+		Notes: []string{fmt.Sprintf("crashes %d churn %d: %d sessions churned, background loss %.2f%%, worst rehome %d cyc",
+			p.Row.Crashes, p.Row.Churn, p.Churned, 100*bg.LossFrac, p.RehomeTook)},
+		Measured: p,
 	}
+}
+
+// cyclesOrDNF prints a span, or DNF when it never completed.
+func cyclesOrDNF(c sim.Time, done bool) string {
+	if !done {
+		return "DNF"
+	}
+	return fmt.Sprintf("%d", c)
 }

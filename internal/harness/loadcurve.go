@@ -60,43 +60,18 @@ func SaturationMbps(mix []arrivals.ClassProfile, packets int) float64 {
 	return 1 / denom
 }
 
-// LoadClassCell is one class's measurement at one offered-load point.
-type LoadClassCell struct {
-	Class qos.Class
-	// OfferedMbps and DeliveredMbps are over the measurement window at
-	// the modeled clock.
-	OfferedMbps, DeliveredMbps float64
-	// Verdict counters: Shed includes Expired and Aged.
-	Submitted, Completed, Shed, Expired, Aged uint64
-	// LossFrac is (Submitted-Completed)/Submitted — every packet that
-	// arrived but was never delivered.
-	LossFrac float64
-	// P50/P99 are enqueue-to-completion latency percentiles in cycles;
-	// Misses counts completions past their deadline tag.
-	P50, P99 sim.Time
-	Misses   uint64
-}
-
 // LoadPoint is one (policy, offered) measurement.
 type LoadPoint struct {
 	Policy  string
 	Offered float64 // fraction of the calibrated saturation capacity
-	Classes []LoadClassCell
+	// Classes are in mix order; latencies are enqueue-to-completion in
+	// cycles and rates are over the measurement window.
+	Classes qos.Cells
 	// Totals across classes.
 	TotalOfferedMbps, TotalDeliveredMbps, TotalLossFrac float64
 	// ArrivalDigest folds every arrival's (class, seq, time) — the
 	// determinism witness.
 	ArrivalDigest uint64
-}
-
-// Cell returns the point's cell for a class (zero value if absent).
-func (p LoadPoint) Cell(c qos.Class) LoadClassCell {
-	for _, cell := range p.Classes {
-		if cell.Class == c {
-			return cell
-		}
-	}
-	return LoadClassCell{Class: c}
 }
 
 // LoadCurveConfig parameterizes LoadCurve.
@@ -278,40 +253,16 @@ func loadPointTraced(policy string, offered, satMbps float64, cfg LoadCurveConfi
 	eng.Run()
 	point.ArrivalDigest = digest
 
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(window) * sim.DefaultFreqHz / 1e6
-	}
-	var offeredSum, deliveredSum float64
-	var submitted, completed uint64
 	for _, prof := range cfg.Mix {
 		st := shaper.Stats(prof.Class)
-		cell := LoadClassCell{
-			Class:         prof.Class,
-			OfferedMbps:   toMbps(st.Submitted * uint64(prof.Bytes)),
-			DeliveredMbps: toMbps(st.Completed * uint64(prof.Bytes)),
-			Submitted:     st.Submitted,
-			Completed:     st.Completed,
-			Shed:          st.Shed,
-			Expired:       st.Expired,
-			Aged:          st.Aged,
-			Misses:        st.DeadlineMisses,
-			P50:           shaper.LatencyPercentile(prof.Class, 50),
-			P99:           shaper.LatencyPercentile(prof.Class, 99),
-		}
-		if st.Submitted > 0 {
-			cell.LossFrac = float64(st.Submitted-st.Completed) / float64(st.Submitted)
-		}
-		offeredSum += cell.OfferedMbps
-		deliveredSum += cell.DeliveredMbps
-		submitted += st.Submitted
-		completed += st.Completed
+		size := uint64(prof.Bytes)
+		cell := qos.NewClassCell(st, shaper.AppendLatencySamples(prof.Class, nil),
+			st.Submitted*size, st.Completed*size, window)
+		point.TotalOfferedMbps += cell.OfferedMbps
 		point.Classes = append(point.Classes, cell)
 	}
-	point.TotalOfferedMbps = offeredSum
-	point.TotalDeliveredMbps = deliveredSum
-	if submitted > 0 {
-		point.TotalLossFrac = float64(submitted-completed) / float64(submitted)
-	}
+	point.TotalDeliveredMbps = point.Classes.DeliveredMbps()
+	point.TotalLossFrac = point.Classes.LossFrac()
 	return point, tr
 }
 
@@ -330,7 +281,7 @@ func FormatLoadCurve(r LoadCurveResult) string {
 		"policy", "offered", "off Mbps", "del Mbps",
 		"v loss%", "v p99 cyc", "v miss", "bg loss%", "bg p99 cyc", "bg shed")
 	for _, p := range r.Points {
-		v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+		v, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
 		fmt.Fprintf(&b, "%-14s %7.2fx | %9.0f %9.0f | %7.2f%% %10d %8d | %7.2f%% %10d %8d\n",
 			p.Policy, p.Offered, p.TotalOfferedMbps, p.TotalDeliveredMbps,
 			100*v.LossFrac, v.P99, v.Misses, 100*bg.LossFrac, bg.P99, bg.Shed)
@@ -338,43 +289,28 @@ func FormatLoadCurve(r LoadCurveResult) string {
 	return b.String()
 }
 
-// LoadSmokeVerdict is the CI mini-curve gate's result.
-type LoadSmokeVerdict struct {
-	// VoiceLossAtHalf is the voice class's loss fraction at 0.5x
-	// saturation under qos-priority; Limit the gate's ceiling.
-	VoiceLossAtHalf float64
-	Limit           float64
-	Points          []LoadPoint
-}
-
-// Pass reports whether the gate held.
-func (v LoadSmokeVerdict) Pass() bool { return v.VoiceLossAtHalf <= v.Limit }
-
-func (v LoadSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("loadsmoke %s: voice loss %.2f%% at 0.5x saturation under qos-priority (limit %.0f%%)",
-		verdict, 100*v.VoiceLossAtHalf, 100*v.Limit)
-}
-
 // LoadSmoke runs the 3-point mini load curve the CI gate checks: under
 // qos-priority, the voice class must lose at most 1% of its packets at
 // half the saturation load. It is deliberately small (a few hundred
-// packets per point) so the gate costs seconds.
-func LoadSmoke() LoadSmokeVerdict {
+// packets per point) so the gate costs seconds. Measured is the
+// []LoadPoint it ran.
+func LoadSmoke() Verdict {
 	res := LoadCurve(LoadCurveConfig{
 		Policies:          []string{"qos-priority"},
 		Offered:           []float64{0.25, 0.5, 1.5},
 		BackgroundPackets: 120,
 	})
-	v := LoadSmokeVerdict{Limit: 0.01, VoiceLossAtHalf: 1}
+	v := Verdict{Gate: "loadcurve", Measured: res.Points}
+	voiceLoss := 1.0
 	for _, p := range res.Points {
+		voice, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
 		if p.Offered == 0.5 {
-			v.VoiceLossAtHalf = p.Cell(qos.Voice).LossFrac
+			voiceLoss = voice.LossFrac
 		}
+		v.Notes = append(v.Notes, fmt.Sprintf("offered %.2fx: voice loss %.2f%% p99 %d cyc, background loss %.2f%%",
+			p.Offered, 100*voice.LossFrac, voice.P99, 100*bg.LossFrac))
 	}
-	v.Points = res.Points
+	v.Checks = []Check{check("voice loss at 0.5x saturation under qos-priority", voiceLoss <= 0.01,
+		"%.2f%% (limit 1%%)", 100*voiceLoss)}
 	return v
 }

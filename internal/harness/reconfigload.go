@@ -126,22 +126,6 @@ func (c ReconfigLoadConfig) effectiveScale(src reconfig.Source) float64 {
 	return scale
 }
 
-// ReconfigClassCell aggregates one class across every swap leg's
-// measurement window (the traffic served while a shard was down).
-type ReconfigClassCell struct {
-	Class                                             qos.Class
-	Submitted, Completed, Shed, Expired, Aged, Misses uint64
-	// LossFrac is (Submitted-Completed)/Submitted across the legs.
-	LossFrac float64
-	// P50 and P99 are latency percentiles over the merged samples of
-	// every leg — the swap phase as one distribution, not the worst
-	// single window (a fully saturated leg serializes dispatch and
-	// erases the policy contrast; merging keeps it visible).
-	P50, P99 sim.Time
-
-	samples []sim.Time
-}
-
 // ReconfigRun is one (policy, source) measurement.
 type ReconfigRun struct {
 	Policy string
@@ -161,23 +145,19 @@ type ReconfigRun struct {
 	BaselineVoiceP99  sim.Time
 	BaselineDelivered float64
 	DuringDelivered   float64
-	Classes           []ReconfigClassCell
+	// Classes aggregate every swap leg's window (the traffic served
+	// while a shard was down). Percentiles are over the merged samples
+	// of every leg — the swap phase as one distribution, not the worst
+	// single window (a fully saturated leg serializes dispatch and
+	// erases the policy contrast; merging keeps it visible). The legs
+	// differ in length, so the cells carry no rates.
+	Classes qos.Cells
 	// Digest folds every measurement window's arrival digest (baseline,
 	// each leg, recovery) — the determinism witness.
 	Digest uint64
 	// Errors counts completions with unexpected verdicts (always 0 in a
 	// healthy run).
 	Errors int
-}
-
-// Cell returns the run's cell for a class (zero value if absent).
-func (r ReconfigRun) Cell(c qos.Class) ReconfigClassCell {
-	for _, cell := range r.Classes {
-		if cell.Class == c {
-			return cell
-		}
-	}
-	return ReconfigClassCell{Class: c}
 }
 
 // ReconfigLoadResult is the full E15 sweep.
@@ -268,12 +248,13 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 		panic(err)
 	}
 	fold(base)
-	run.BaselineVoiceP99 = baseCell(base, qos.Voice).P99
-	run.BaselineDelivered = base.DeliveredMbps()
+	run.BaselineVoiceP99 = base.Classes.Cell(qos.Voice).P99
+	run.BaselineDelivered = base.Classes.DeliveredMbps()
 
 	// The rolling swap: each leg's during hook serves one bitstream
 	// window on the remaining shards.
-	acc := map[qos.Class]*ReconfigClassCell{}
+	var legStats [qos.NumClasses]*qos.ClassStats
+	var legSamples [qos.NumClasses][]sim.Time
 	legs := 0
 	reports, err := f.RollingSwap(0, cfg.Target, scaled,
 		func(shard int, legWindow sim.Time) error {
@@ -283,20 +264,13 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 			}
 			fold(w)
 			legs++
-			run.DuringDelivered += w.DeliveredMbps()
+			run.DuringDelivered += w.Classes.DeliveredMbps()
 			for _, c := range w.Classes {
-				cell := acc[c.Class]
-				if cell == nil {
-					cell = &ReconfigClassCell{Class: c.Class}
-					acc[c.Class] = cell
+				if legStats[c.Class] == nil {
+					legStats[c.Class] = &qos.ClassStats{Class: c.Class}
 				}
-				cell.Submitted += c.Submitted
-				cell.Completed += c.Completed
-				cell.Shed += c.Shed
-				cell.Expired += c.Expired
-				cell.Aged += c.Aged
-				cell.Misses += c.Misses
-				cell.samples = append(cell.samples, c.Samples...)
+				legStats[c.Class].Accumulate(c.Stats())
+				legSamples[c.Class] = append(legSamples[c.Class], c.Samples...)
 			}
 			return nil
 		})
@@ -320,29 +294,11 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 	fold(rec)
 
 	for _, class := range qos.Classes() {
-		cell := acc[class]
-		if cell == nil {
-			continue
+		if st := legStats[class]; st != nil {
+			run.Classes = append(run.Classes, qos.NewClassCell(*st, legSamples[class], 0, 0, 0))
 		}
-		if cell.Submitted > 0 {
-			cell.LossFrac = float64(cell.Submitted-cell.Completed) / float64(cell.Submitted)
-		}
-		cell.P50 = qos.PercentileOf(cell.samples, 50)
-		cell.P99 = qos.PercentileOf(cell.samples, 99)
-		cell.samples = nil
-		run.Classes = append(run.Classes, *cell)
 	}
 	return run
-}
-
-// baseCell looks up a class in a window report.
-func baseCell(w cluster.OpenLoopWindow, class qos.Class) cluster.OpenLoopClass {
-	for _, c := range w.Classes {
-		if c.Class == class {
-			return c
-		}
-	}
-	return cluster.OpenLoopClass{Class: class}
 }
 
 // FormatReconfigUnderLoad renders the E15 sweep.
@@ -355,7 +311,7 @@ func FormatReconfigUnderLoad(r ReconfigLoadResult) string {
 		"policy", "source", "window ms", "base Mbps", "del Mbps",
 		"v loss%", "v p99 cyc", "v miss", "bg loss%", "bg p99 cyc")
 	for _, run := range r.Runs {
-		v, bg := run.Cell(qos.Voice), run.Cell(qos.Background)
+		v, bg := run.Classes.Cell(qos.Voice), run.Classes.Cell(qos.Background)
 		fmt.Fprintf(&b, "%-14s %-14s %9.1f | %9.0f %9.0f | %7.2f%% %10d %8d | %7.2f%% %10d\n",
 			run.Policy, run.Source, run.TrueWindowMillis,
 			run.BaselineDelivered, run.DuringDelivered,
@@ -364,41 +320,14 @@ func FormatReconfigUnderLoad(r ReconfigLoadResult) string {
 	return b.String()
 }
 
-// ReconfigSmokeVerdict is the CI rolling-swap gate's result.
-type ReconfigSmokeVerdict struct {
-	// VoiceLoss is the voice loss fraction during the bitstream windows
-	// under qos-priority; LossLimit the ceiling.
-	VoiceLoss float64
-	LossLimit float64
-	// VoiceP99 is the worst during-swap voice p99; P99Limit the bound
-	// derived from the baseline window (inflation factor + slack).
-	VoiceP99    sim.Time
-	BaselineP99 sim.Time
-	P99Limit    sim.Time
-	Run         ReconfigRun
-}
-
-// Pass reports whether the gate held.
-func (v ReconfigSmokeVerdict) Pass() bool {
-	return v.VoiceLoss <= v.LossLimit && v.VoiceP99 <= v.P99Limit
-}
-
-func (v ReconfigSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("reconfigsmoke %s: voice loss %.2f%% (limit %.0f%%), p99 %d cycles during swap (baseline %d, limit %d) under qos-priority",
-		verdict, 100*v.VoiceLoss, 100*v.LossLimit, v.VoiceP99, v.BaselineP99, v.P99Limit)
-}
-
 // ReconfigSmoke runs the CI mini rolling-swap gate: a two-shard cluster
 // under qos-priority swaps each shard's core from staging RAM while the
 // other carries the stream at ~1.8x its own saturation — voice must
 // lose at most 1% and its during-swap p99 must stay within 3x the
-// all-shards-serving baseline plus scheduling slack. Deliberately small
-// so the gate costs seconds.
-func ReconfigSmoke() ReconfigSmokeVerdict {
+// all-shards-serving baseline plus 8000 cycles of scheduling slack.
+// Deliberately small so the gate costs seconds. Measured is the
+// ReconfigRun.
+func ReconfigSmoke() Verdict {
 	res := ReconfigUnderLoad(ReconfigLoadConfig{
 		Policies:  []string{"qos-priority"},
 		Sources:   []reconfig.Source{reconfig.StagingRAM},
@@ -406,13 +335,17 @@ func ReconfigSmoke() ReconfigSmokeVerdict {
 		TimeScale: 256,
 	})
 	run := res.Runs[0]
-	v := ReconfigSmokeVerdict{
-		LossLimit:   0.01,
-		VoiceLoss:   run.Cell(qos.Voice).LossFrac,
-		VoiceP99:    run.Cell(qos.Voice).P99,
-		BaselineP99: run.BaselineVoiceP99,
-		Run:         run,
+	voice, bg := run.Classes.Cell(qos.Voice), run.Classes.Cell(qos.Background)
+	p99Limit := 3*run.BaselineVoiceP99 + 8000
+	return Verdict{
+		Gate: "reconfig",
+		Checks: []Check{
+			check("voice loss during swap", voice.LossFrac <= 0.01, "%.2f%% (limit 1%%)", 100*voice.LossFrac),
+			check("voice p99 during swap", voice.P99 <= p99Limit, "%d cycles (baseline %d, limit %d)",
+				voice.P99, run.BaselineVoiceP99, p99Limit),
+		},
+		Notes: []string{fmt.Sprintf("source %s (%.1f ms window): delivered %.0f -> %.0f Mbps during swap, background loss %.2f%%",
+			run.Source, run.TrueWindowMillis, run.BaselineDelivered, run.DuringDelivered, 100*bg.LossFrac)},
+		Measured: run,
 	}
-	v.P99Limit = 3*run.BaselineVoiceP99 + 8000
-	return v
 }

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"strings"
 
-	"mccp/internal/cluster"
 	"mccp/internal/faults"
 	"mccp/internal/qos"
 	"mccp/internal/reconfig"
@@ -106,13 +104,9 @@ type RecoveryPoint struct {
 	// WirePoint carries the horizon-wide per-class cells and digests,
 	// built by the same reduction as the E14/E16 tables.
 	WirePoint
-	// Schedule is the printable fault plan; Rehomes the fail-over log
-	// with its aggregates (as in E16).
-	Schedule   string
-	Rehomes    []server.RehomeEvent
-	Moved      int
-	Lost       int
-	RehomeTook sim.Time
+	// Failover is the fault plan and the fail-over log with its
+	// aggregates (as in E16).
+	Failover
 	// Heals is the recovery plane's action log: the restart, the
 	// rebalance back, and each brownout lift.
 	Heals []server.HealEvent
@@ -156,11 +150,7 @@ type RecoveryResult struct {
 // pipeline, then one full crash-and-recovery drill per (policy, source).
 func RecoveryCurves(cfg RecoveryConfig) RecoveryResult {
 	cfg.fill()
-	sat := cfg.Wire.SatMbps
-	if sat <= 0 {
-		sat = SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
-			float64(cfg.Wire.CoresPerShard) / 4
-	}
+	sat := cfg.Wire.saturation()
 	res := RecoveryResult{
 		SaturationMbps: sat,
 		Offered:        cfg.Offered,
@@ -202,77 +192,23 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 	if err != nil {
 		panic(err) // experiment drivers pass literal configurations
 	}
-	var shares [qos.NumClasses]float64
-	for _, p := range wire.Mix {
-		shares[p.Class] += p.Share
-	}
-
-	srv, err := server.New(server.Config{
-		Cluster: cluster.Config{
-			Shards:        wire.Shards,
-			CoresPerShard: wire.CoresPerShard,
-			Router:        wire.Router,
-			Policy:        wire.Policy,
-			QueueRequests: true,
-			Shape:         true,
-			ShardWindow:   wire.BatchOps,
-			Seed:          wire.Seed,
-			Shaper: qos.Config{
-				Capacity:   wire.Capacity,
-				QueueDepth: wire.QueueDepth,
-				Drain:      wire.Drain,
-			},
-		},
-		BatchOps: wire.BatchOps,
-		Faults: &server.FaultPolicy{
-			Schedule:        sched,
-			Detect:          true,
-			OfferedMbps:     cfg.Offered * satMbps,
-			SatMbpsPerShard: satMbps / float64(wire.Shards),
-			Shares:          shares,
-			Restart:         true,
-			RestartSource:   src.Scaled(cfg.TimeScale),
-			WindowCycles:    wire.WindowCycles,
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	fp := wire.faultPolicy(sched, cfg.Offered, satMbps)
+	fp.Restart, fp.RestartSource, fp.WindowCycles = true, src.Scaled(cfg.TimeScale), wire.WindowCycles
+	load := wire.loadConfig(cfg.Offered, satMbps)
+	load.WindowTallies = true
+	srv, res := wire.serve(fp, load)
 	defer srv.Close()
-	lb := server.NewLoopback()
-	srv.Serve(lb)
-
-	bitsPerCycle := cfg.Offered * satMbps * 1e6 / sim.DefaultFreqHz
-	load, err := server.RunLoad(func() (net.Conn, error) { return lb.Dial() }, server.LoadConfig{
-		Sessions:      wire.Sessions,
-		Mix:           wire.Mix,
-		Process:       wire.Process,
-		BitsPerCycle:  bitsPerCycle,
-		WindowCycles:  wire.WindowCycles,
-		Windows:       wire.Windows,
-		Seed:          wire.Seed,
-		WindowTallies: true,
-	})
-	if err != nil {
-		panic(err)
-	}
 
 	point := RecoveryPoint{
 		Policy:       policy,
 		Source:       src.Name,
-		WirePoint:    buildWirePoint(cfg.Offered, satMbps, wire.Sessions, load),
-		Schedule:     sched.String(),
-		Rehomes:      srv.FaultReport(),
+		WirePoint:    buildWirePoint(cfg.Offered, satMbps, wire.Sessions, res),
+		Failover:     failoverOf(sched, srv.FaultReport()),
 		Heals:        srv.HealReport(),
 		RejoinWindow: -1,
-		Windows:      load.Windows,
+		Windows:      res.Windows,
 	}
 	for _, ev := range point.Rehomes {
-		point.Moved += ev.Moved
-		point.Lost += ev.Lost
-		if ev.Took > point.RehomeTook {
-			point.RehomeTook = ev.Took
-		}
 		for _, deny := range ev.Deny {
 			if deny {
 				point.BrownoutImposed = true
@@ -299,9 +235,9 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 		}
 	}
 	point.TrueRestartMillis = float64(point.RestartCycles) * cfg.TimeScale / sim.DefaultFreqHz * 1e3
-	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, load.Windows)
+	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, res.Windows)
 	point.CapacityCycles, point.CapacityRestored = capacityOf(sched, wire.WindowCycles,
-		cfg.CapacityFrac, cfg.FaultWindow, point.RejoinWindow, load.Windows)
+		cfg.CapacityFrac, cfg.FaultWindow, point.RejoinWindow, res.Windows)
 	return point
 }
 
@@ -363,17 +299,9 @@ func FormatRecoveryCurves(r RecoveryResult) string {
 		"restart cyc", "true ms", "rejoin", "recover cyc", "capacity cyc", "lifted")
 	base := r.Baseline
 	fmt.Fprintf(&b, "%-12s %-13s | %7.2f%% %7.2f%% | %6d %5d | %12s %10s %6s | %12s %12s %8s\n",
-		base.Policy, "(no fault)", 100*base.Cell(qos.Voice).LossFrac, 100*base.TotalLossFrac,
+		base.Policy, "(no fault)", 100*base.Classes.Cell(qos.Voice).LossFrac, 100*base.TotalLossFrac,
 		base.Moved, base.Lost, "-", "-", "-", "-", "-", "-")
 	for _, p := range r.Points {
-		rec := fmt.Sprintf("%d", p.RecoveryCycles)
-		if !p.Recovered {
-			rec = "DNF"
-		}
-		cap := fmt.Sprintf("%d", p.CapacityCycles)
-		if !p.CapacityRestored {
-			cap = "DNF"
-		}
 		rejoin := fmt.Sprintf("%d", p.RejoinWindow)
 		if p.RejoinWindow < 0 {
 			rejoin = "DNF"
@@ -383,69 +311,23 @@ func FormatRecoveryCurves(r RecoveryResult) string {
 			lifted = "NO"
 		}
 		fmt.Fprintf(&b, "%-12s %-13s | %7.2f%% %7.2f%% | %6d %5d | %12d %10.1f %6s | %12s %12s %8s\n",
-			p.Policy, p.Source, 100*p.Cell(qos.Voice).LossFrac, 100*p.TotalLossFrac,
-			p.Moved, p.Lost, p.RestartCycles, p.TrueRestartMillis, rejoin, rec, cap, lifted)
+			p.Policy, p.Source, 100*p.Classes.Cell(qos.Voice).LossFrac, 100*p.TotalLossFrac,
+			p.Moved, p.Lost, p.RestartCycles, p.TrueRestartMillis, rejoin,
+			cyclesOrDNF(p.RecoveryCycles, p.Recovered), cyclesOrDNF(p.CapacityCycles, p.CapacityRestored), lifted)
 	}
 	return b.String()
 }
 
-// HealSmokeVerdict is the CI -healsmoke gate's result: with 1 of 4
-// shards crashed mid-load at 0.9x saturation under qos-priority and the
-// restart loop armed (icap source), the shard must rebuild and rejoin,
-// voice must ride through both the fall and the climb within 1% loss
-// and zero lost sessions, the brownout mask must be fully lifted by the
-// horizon, and the delivered rate must climb back to the pre-crash
-// level.
-type HealSmokeVerdict struct {
-	VoiceLossFrac    float64
-	Lost             int
-	Restarts         int
-	RejoinWindow     int
-	BrownoutLifted   bool
-	Recovered        bool
-	RecoveryCycles   sim.Time
-	RecoveryLimit    sim.Time
-	CapacityRestored bool
-	CapacityCycles   sim.Time
-	Point            RecoveryPoint
-}
-
-// Pass reports whether the gate held.
-func (v HealSmokeVerdict) Pass() bool {
-	return v.VoiceLossFrac <= 0.01 &&
-		v.Lost == 0 &&
-		v.Restarts >= 1 &&
-		v.BrownoutLifted &&
-		v.Recovered &&
-		v.RecoveryCycles <= v.RecoveryLimit &&
-		v.CapacityRestored
-}
-
-func (v HealSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	rec := fmt.Sprintf("%d", v.RecoveryCycles)
-	if !v.Recovered {
-		rec = "DNF"
-	}
-	cap := fmt.Sprintf("%d cycles", v.CapacityCycles)
-	if !v.CapacityRestored {
-		cap = "DNF"
-	}
-	lifted := "lifted"
-	if !v.BrownoutLifted {
-		lifted = "NOT lifted"
-	}
-	return fmt.Sprintf("healsmoke %s: voice loss %.2f%% (limit 1%%), %d lost (limit 0), %d restart(s) rejoining at window %d, brownout %s, voice recovery %s cycles (limit %d), capacity back in %s",
-		verdict, 100*v.VoiceLossFrac, v.Lost, v.Restarts, v.RejoinWindow, lifted, rec, v.RecoveryLimit, cap)
-}
-
-// HealSmoke runs the one-drill loopback E17 gate CI checks. Small on
-// purpose: 64 sessions, 24 short windows, one crash in a 4-shard
-// cluster, restart from the icap source.
-func HealSmoke() HealSmokeVerdict {
+// HealSmoke runs the one-drill loopback E17 gate CI checks: with 1 of
+// 4 shards crashed mid-load at 0.9x saturation under qos-priority and
+// the restart loop armed (icap source), voice must ride through both
+// the fall and the climb within 1% loss and zero lost sessions, the
+// shard must rebuild and rejoin, the brownout mask must be fully lifted
+// by the horizon, voice delivery must recover within 3 windows of the
+// crash, and the delivered rate must climb back to the pre-crash level.
+// Small on purpose: 64 sessions, 24 short windows. Measured is the
+// RecoveryPoint.
+func HealSmoke() Verdict {
 	cfg := RecoveryConfig{
 		Wire: WireConfig{
 			Shards:       4,
@@ -457,29 +339,33 @@ func HealSmoke() HealSmokeVerdict {
 		FaultWindow: 8,
 	}
 	cfg.fill()
-	sat := cfg.Wire.SatMbps
-	if sat <= 0 {
-		sat = SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
-			float64(cfg.Wire.CoresPerShard) / 4
-	}
-	p := RecoveryPointRun(cfg.Policies[0], cfg.Sources[0], sat, cfg)
-	restarts := 0
+	p := RecoveryPointRun(cfg.Policies[0], cfg.Sources[0], cfg.Wire.saturation(), cfg)
+	restarts, rebalanced := 0, 0
 	for _, ev := range p.Heals {
 		if ev.Restarted {
 			restarts++
 		}
+		rebalanced += ev.Rebalanced
 	}
-	return HealSmokeVerdict{
-		VoiceLossFrac:    p.Cell(qos.Voice).LossFrac,
-		Lost:             p.Lost,
-		Restarts:         restarts,
-		RejoinWindow:     p.RejoinWindow,
-		BrownoutLifted:   p.BrownoutLifted,
-		Recovered:        p.Recovered,
-		RecoveryCycles:   p.RecoveryCycles,
-		RecoveryLimit:    3 * 4096,
-		CapacityRestored: p.CapacityRestored,
-		CapacityCycles:   p.CapacityCycles,
-		Point:            p,
+	voice, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
+	lifted := "lifted"
+	if !p.BrownoutLifted {
+		lifted = "NOT lifted"
+	}
+	const recoveryLimit = 3 * 4096
+	return Verdict{
+		Gate: "heal",
+		Checks: []Check{
+			check("voice loss", voice.LossFrac <= 0.01, "%.2f%% (limit 1%%)", 100*voice.LossFrac),
+			check("sessions lost", p.Lost == 0, "%d (limit 0)", p.Lost),
+			check("restarts", restarts >= 1, "%d rejoining at window %d (need >= 1)", restarts, p.RejoinWindow),
+			check("brownout", p.BrownoutLifted, "%s", lifted),
+			check("voice recovery", p.Recovered && p.RecoveryCycles <= recoveryLimit,
+				"%s cycles (limit %d)", cyclesOrDNF(p.RecoveryCycles, p.Recovered), recoveryLimit),
+			check("capacity back", p.CapacityRestored, "in %s cycles", cyclesOrDNF(p.CapacityCycles, p.CapacityRestored)),
+		},
+		Notes: []string{fmt.Sprintf("source %s: restart %d cyc (%.1f ms at true speed), %d sessions rebalanced back, background loss %.2f%%",
+			p.Source, p.RestartCycles, p.TrueRestartMillis, rebalanced, 100*bg.LossFrac)},
+		Measured: p,
 	}
 }

@@ -64,7 +64,7 @@ func TestRecoveryCurvesShape(t *testing.T) {
 		if p.Moved == 0 {
 			t.Errorf("%s: no sessions re-homed at the crash", p.Source)
 		}
-		if v := p.Cell(qos.Voice); v.LossFrac > 0.01 {
+		if v := p.Classes.Cell(qos.Voice); v.LossFrac > 0.01 {
 			t.Errorf("%s: voice loss %.2f%% above 1%% across crash and recovery",
 				p.Source, 100*v.LossFrac)
 		}
@@ -114,17 +114,5 @@ func TestRecoveryBaselineMatchesFaultZeroRow(t *testing.T) {
 	if !reflect.DeepEqual(res.Baseline, base) {
 		t.Fatalf("E17 baseline diverges from the E16 zero-fault row:\n%+v\nvs\n%+v",
 			res.Baseline, base)
-	}
-}
-
-func TestHealSmoke(t *testing.T) {
-	v := HealSmoke()
-	t.Logf("%s", v)
-	if !v.Pass() {
-		t.Fatalf("healsmoke gate failed: %s", v)
-	}
-	a, b := HealSmoke(), HealSmoke()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("healsmoke not reproducible: %s vs %s", a, b)
 	}
 }

@@ -183,55 +183,6 @@ func FormatStageAttribution(r StageCurveResult) string {
 	return b.String()
 }
 
-// ObsSmokeVerdict is the CI -obssmoke gate's result: the observability
-// plane must be deterministic, free (bit-identical metrics with the
-// tracer attached, within 5% wall-clock with it disabled), reconciled
-// (stage sums tile the end-to-end totals; traced percentiles equal
-// E13's), and the flight recorder must produce a postmortem from the
-// one-crash drill.
-type ObsSmokeVerdict struct {
-	// Deterministic: two traced runs produced identical points and span
-	// digests.
-	Deterministic bool
-	// Reconciled: the traced run's LoadPoint equals the untraced
-	// LoadPointRun and every class's traced total percentiles equal the
-	// E13 cell's.
-	Reconciled bool
-	// SumsTile: every class's SumTotal == Σ SumStages.
-	SumsTile bool
-	// Postmortems counts frozen flight-recorder dumps after the E16
-	// one-crash drill (>= 1 required).
-	Postmortems int
-	// OverheadRatio is best-of-N wall-clock throughput with a disabled
-	// tracer attached over tracer-absent (>= Limit required; the only
-	// nondeterministic check).
-	OverheadRatio float64
-	Limit         float64
-	Point         StagePoint
-}
-
-// Pass reports whether the gate held.
-func (v ObsSmokeVerdict) Pass() bool {
-	return v.Deterministic && v.Reconciled && v.SumsTile &&
-		v.Postmortems >= 1 && v.OverheadRatio >= v.Limit
-}
-
-func (v ObsSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	flag := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAIL"
-	}
-	return fmt.Sprintf("obssmoke %s: determinism %s, reconcile-with-E13 %s, stage-sums %s, postmortems %d (need >= 1), tracing-off overhead ratio %.3f (limit %.2f)",
-		verdict, flag(v.Deterministic), flag(v.Reconciled), flag(v.SumsTile),
-		v.Postmortems, v.OverheadRatio, v.Limit)
-}
-
 // obsSmokeLoad is the gate's measurement point: qos-priority at 1.5x
 // saturation (past the knee, so every stage is exercised: queueing,
 // shedding, expiry and clean service all occur).
@@ -241,38 +192,42 @@ func obsSmokeLoad() (string, float64, float64, LoadCurveConfig) {
 	return "qos-priority", 1.5, SaturationMbps(cfg.Mix, cfg.SatPackets), cfg
 }
 
-// ObsSmoke runs the CI observability gate. Everything but the overhead
-// ratio is exact: determinism and reconciliation compare structs and
-// digests bit-for-bit; the wall-clock check takes the best of several
-// short runs on each side to damp scheduler noise.
-func ObsSmoke() ObsSmokeVerdict {
+// ObsSmoke runs the CI observability gate: the observability plane must
+// be deterministic (two traced runs bit-identical), free (the traced
+// E13 point equals the untraced one; a disabled-but-attached tracer
+// keeps at least 95% of tracer-absent wall-clock throughput),
+// reconciled (every class's stage sums tile its end-to-end total and the
+// traced percentiles equal E13's), and the flight recorder must freeze
+// a postmortem during the E16 one-crash drill. Everything but the
+// overhead ratio is exact; that one wall-clock check takes the best of
+// several short runs on each side to damp scheduler noise. Measured is
+// the traced StagePoint.
+func ObsSmoke() Verdict {
 	policy, offered, sat, cfg := obsSmokeLoad()
-	v := ObsSmokeVerdict{Limit: 0.95}
 
 	// Determinism: the traced point must replay bit-identically (host
 	// timestamps are excluded from the digest and absent from the point).
 	a := StagePointRun(policy, offered, sat, cfg)
 	b := StagePointRun(policy, offered, sat, cfg)
-	v.Point = a
-	v.Deterministic = a.TraceDigest == b.TraceDigest && reflect.DeepEqual(a, b)
+	deterministic := a.TraceDigest == b.TraceDigest && reflect.DeepEqual(a, b)
 
 	// Reconciliation: attaching the tracer must not perturb the E13
 	// measurement, and the span-derived percentiles must equal the
 	// shaper-derived ones exactly (same samples, same method).
 	untraced := LoadPointRun(policy, offered, sat, cfg)
-	v.Reconciled = reflect.DeepEqual(a.LoadPoint, untraced)
-	v.SumsTile = len(a.Cells) > 0
+	reconciled := reflect.DeepEqual(a.LoadPoint, untraced)
+	sumsTile := len(a.Cells) > 0
 	for _, sc := range a.Cells {
-		cell := a.Cell(sc.Class)
+		cell := a.Classes.Cell(sc.Class)
 		if sc.TotalP50 != cell.P50 || sc.TotalP99 != cell.P99 || sc.Spans != cell.Completed {
-			v.Reconciled = false
+			reconciled = false
 		}
 		var sum sim.Time
 		for _, s := range sc.SumStages {
 			sum += s
 		}
 		if sum != sc.SumTotal {
-			v.SumsTile = false
+			sumsTile = false
 		}
 	}
 
@@ -286,13 +241,12 @@ func ObsSmoke() ObsSmokeVerdict {
 		FaultWindow: 8,
 	}
 	drill.fill()
-	drillSat := SaturationMbps(drill.Wire.Mix, drill.Wire.SatPackets) *
-		float64(drill.Wire.Shards) * float64(drill.Wire.CoresPerShard) / 4
-	faultPointRun("qos-priority", drill.Rows[0], drillSat,
+	postmortems := 0
+	faultPointRun("qos-priority", drill.Rows[0], drill.Wire.saturation(),
 		drill, func(srv *server.Server) {
 			for _, d := range srv.Cluster().Postmortems() {
 				if len(d.Records) > 0 {
-					v.Postmortems++
+					postmortems++
 				}
 			}
 		})
@@ -312,8 +266,28 @@ func ObsSmoke() ObsSmokeVerdict {
 		return bestD
 	}
 	absent, disabled := best(false), best(true)
+	ratio := 0.0
 	if disabled > 0 {
-		v.OverheadRatio = float64(absent) / float64(disabled)
+		ratio = float64(absent) / float64(disabled)
 	}
-	return v
+	const ratioLimit = 0.95
+	overhead := check("tracing-off overhead ratio", ratio >= ratioLimit, "%.3f (limit %.2f)", ratio, ratioLimit)
+	overhead.WallClock = true
+
+	voice, bg := a.StageCell(qos.Voice), a.StageCell(qos.Background)
+	return Verdict{
+		Gate: "stages",
+		Checks: []Check{
+			check("determinism", deterministic, "two traced runs bit-identical"),
+			check("reconcile-with-E13", reconciled, "traced point and percentiles equal the untraced run"),
+			check("stage-sums", sumsTile, "per-stage sums tile the end-to-end total"),
+			check("postmortems", postmortems >= 1, "%d (need >= 1)", postmortems),
+			overhead,
+		},
+		Notes: []string{fmt.Sprintf("offered %.2fx: %d spans (digest %x); voice p99 %d cyc (queue %d core %d), background p99 %d cyc (queue %d core %d)",
+			a.Offered, a.Spans, a.TraceDigest,
+			voice.TotalP99, voice.P99[obs.StageQueue], voice.P99[obs.StageCore],
+			bg.TotalP99, bg.P99[obs.StageQueue], bg.P99[obs.StageCore])},
+		Measured: a,
+	}
 }

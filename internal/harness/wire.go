@@ -119,27 +119,16 @@ func (c *WireConfig) fill() {
 	}
 }
 
-// WireClassCell is one class's measurement at one offered point.
-type WireClassCell struct {
-	Class qos.Class
-	// Verdict counts from the protocol status codes.
-	Submitted, Completed, Rejected, Shed, Expired, Aged, Failed uint64
-	// LossFrac is (Submitted-Completed)/Submitted.
-	LossFrac float64
-	// P50/P99 are end-to-end wire latency percentiles in cycles:
-	// batching wait (window end minus arrival on the wire clock) plus
-	// shard-side service.
-	P50, P99 sim.Time
-	// DeliveredMbps is the class's delivered rate over the wire-clock
-	// horizon at the modeled frequency.
-	DeliveredMbps float64
-}
-
 // WirePoint is one offered-rate measurement of the E14 table.
 type WirePoint struct {
 	Offered  float64
 	Sessions int
-	Classes  []WireClassCell // highest priority first
+	// Classes are highest priority first. Latencies are end-to-end wire
+	// latency in cycles — batching wait (window end minus arrival on the
+	// wire clock) plus shard-side service; DeliveredMbps is over the
+	// wire-clock horizon (the wire does not meter per-class offered
+	// volume, so OfferedMbps is 0).
+	Classes qos.Cells
 	// Totals: WireMbps is the delivered wire throughput over the
 	// horizon.
 	TotalOfferedMbps float64
@@ -151,16 +140,6 @@ type WirePoint struct {
 	ArrivalDigest uint64
 	ServerDigests []uint64
 	ClusterCycles sim.Time
-}
-
-// Cell returns the point's cell for a class (zero value if absent).
-func (p WirePoint) Cell(c qos.Class) WireClassCell {
-	for _, cell := range p.Classes {
-		if cell.Class == c {
-			return cell
-		}
-	}
-	return WireClassCell{Class: c}
 }
 
 // WireResult is the E14 table.
@@ -179,11 +158,7 @@ type WireResult struct {
 // the table is deterministic.
 func WireLatency(cfg WireConfig) WireResult {
 	cfg.fill()
-	sat := cfg.SatMbps
-	if sat <= 0 {
-		sat = SaturationMbps(cfg.Mix, cfg.SatPackets) * float64(cfg.Shards) *
-			float64(cfg.CoresPerShard) / 4
-	}
+	sat := cfg.saturation()
 	res := WireResult{SaturationMbps: sat, Policy: cfg.Policy, Sessions: cfg.Sessions}
 	for _, offered := range cfg.Offered {
 		res.Points = append(res.Points, WirePointRun(offered, sat, cfg))
@@ -194,99 +169,107 @@ func WireLatency(cfg WireConfig) WireResult {
 // WirePointRun measures one offered point of the E14 table.
 func WirePointRun(offered, satMbps float64, cfg WireConfig) WirePoint {
 	cfg.fill()
+	srv, load := cfg.serve(nil, cfg.loadConfig(offered, satMbps))
+	defer srv.Close()
+	return buildWirePoint(offered, satMbps, cfg.Sessions, load)
+}
+
+// saturation is the calibrated cluster capacity for the mix: the
+// per-shard mix saturation times the shard count, scaled to the cores
+// per shard (SatMbps overrides it). The config must be filled.
+func (c WireConfig) saturation() float64 {
+	if c.SatMbps > 0 {
+		return c.SatMbps
+	}
+	return SaturationMbps(c.Mix, c.SatPackets) * float64(c.Shards) * float64(c.CoresPerShard) / 4
+}
+
+// loadConfig is the open-loop client load at offered x satMbps.
+func (c WireConfig) loadConfig(offered, satMbps float64) server.LoadConfig {
+	return server.LoadConfig{
+		Sessions:     c.Sessions,
+		Mix:          c.Mix,
+		Process:      c.Process,
+		BitsPerCycle: offered * satMbps * 1e6 / sim.DefaultFreqHz,
+		WindowCycles: c.WindowCycles,
+		Windows:      c.Windows,
+		Seed:         c.Seed,
+	}
+}
+
+// serve starts a loopback mccpserver in front of a fresh cluster built
+// from the config — with its fault plane armed when faults is set — and
+// replays load through it on one connection. The caller closes the
+// returned server.
+func (c WireConfig) serve(faults *server.FaultPolicy, load server.LoadConfig) (*server.Server, server.LoadResult) {
 	srv, err := server.New(server.Config{
 		Cluster: cluster.Config{
-			Shards:        cfg.Shards,
-			CoresPerShard: cfg.CoresPerShard,
-			Router:        cfg.Router,
-			Policy:        cfg.Policy,
+			Shards:        c.Shards,
+			CoresPerShard: c.CoresPerShard,
+			Router:        c.Router,
+			Policy:        c.Policy,
 			QueueRequests: true,
 			Shape:         true,
 			// The whole batch enters the shaper as one burst, anchoring
 			// deadline budgets at batch start and letting the class
 			// queues express the drain order — the wire analogue of
 			// E13's open-loop shaper feed.
-			ShardWindow: cfg.BatchOps,
-			Seed:        cfg.Seed,
+			ShardWindow: c.BatchOps,
+			Seed:        c.Seed,
 			Shaper: qos.Config{
-				Capacity:   cfg.Capacity,
-				QueueDepth: cfg.QueueDepth,
-				Drain:      cfg.Drain,
+				Capacity:   c.Capacity,
+				QueueDepth: c.QueueDepth,
+				Drain:      c.Drain,
 			},
 		},
-		BatchOps: cfg.BatchOps,
+		BatchOps: c.BatchOps,
+		Faults:   faults,
 	})
 	if err != nil {
 		panic(err) // experiment drivers pass literal configurations
 	}
-	defer srv.Close()
 	lb := server.NewLoopback()
 	srv.Serve(lb)
-
-	bitsPerCycle := offered * satMbps * 1e6 / sim.DefaultFreqHz
-	load, err := server.RunLoad(func() (net.Conn, error) { return lb.Dial() }, server.LoadConfig{
-		Sessions:     cfg.Sessions,
-		Mix:          cfg.Mix,
-		Process:      cfg.Process,
-		BitsPerCycle: bitsPerCycle,
-		WindowCycles: cfg.WindowCycles,
-		Windows:      cfg.Windows,
-		Seed:         cfg.Seed,
-	})
+	res, err := server.RunLoad(func() (net.Conn, error) { return lb.Dial() }, load)
 	if err != nil {
 		panic(err)
 	}
-
-	return buildWirePoint(offered, satMbps, cfg.Sessions, load)
+	return srv, res
 }
 
 // buildWirePoint reduces one RunLoad outcome to a table point — shared
 // by the E14 wire curves and the E16 fault curves, so a fault table's
 // zero-fault row is computed by the very same code as the E14 baseline.
 func buildWirePoint(offered, satMbps float64, sessions int, load server.LoadResult) WirePoint {
-	horizon := load.HorizonCycles
-	toMbps := func(bytes uint64) float64 {
-		return float64(bytes*8) / float64(horizon) * sim.DefaultFreqHz / 1e6
-	}
 	point := WirePoint{
-		Offered:       offered,
-		Sessions:      sessions,
-		ArrivalDigest: load.ArrivalDigest,
+		Offered:          offered,
+		Sessions:         sessions,
+		TotalOfferedMbps: offered * satMbps,
+		ArrivalDigest:    load.ArrivalDigest,
 	}
 	if load.Stats != nil {
 		point.ServerDigests = load.Stats.Digests
 		point.ClusterCycles = load.Stats.ClusterCycles
 	}
-	var submitted, completed uint64
 	var deliveredBytes uint64
 	for _, class := range qos.Classes() {
 		cl := load.Classes[class]
-		cell := WireClassCell{
-			Class:         class,
-			Submitted:     cl.Submitted,
-			Completed:     cl.OK,
-			Rejected:      cl.Rejected,
-			Shed:          cl.Shed,
-			Expired:       cl.Expired,
-			Aged:          cl.Aged,
-			Failed:        cl.AuthFail + cl.Failed,
-			P50:           qos.PercentileOf(cl.WireSamples, 50),
-			P99:           qos.PercentileOf(cl.WireSamples, 99),
-			DeliveredMbps: toMbps(cl.DeliveredBytes),
+		st := qos.ClassStats{
+			Class:     class,
+			Submitted: cl.Submitted,
+			Completed: cl.OK,
+			Rejected:  cl.Rejected,
+			Shed:      cl.Shed,
+			Expired:   cl.Expired,
+			Aged:      cl.Aged,
+			Failed:    cl.AuthFail + cl.Failed,
 		}
-		if cl.Submitted > 0 {
-			cell.LossFrac = float64(cl.Submitted-cl.OK) / float64(cl.Submitted)
-		}
-		submitted += cl.Submitted
-		completed += cl.OK
+		point.Classes = append(point.Classes,
+			qos.NewClassCell(st, cl.WireSamples, 0, cl.DeliveredBytes, load.HorizonCycles))
 		deliveredBytes += cl.DeliveredBytes
-		point.Classes = append(point.Classes, cell)
 	}
-	point.TotalOfferedMbps = offered * satMbps
-	point.WireMbps = toMbps(deliveredBytes)
-	if submitted > 0 {
-		point.TotalLossFrac = float64(submitted-completed) / float64(submitted)
-	}
+	point.WireMbps = qos.MbpsOver(deliveredBytes, load.HorizonCycles)
+	point.TotalLossFrac = point.Classes.LossFrac()
 	return point
 }
 
@@ -300,7 +283,7 @@ func FormatWireLatency(r WireResult) string {
 		"offered", "off Mbps", "wire Mbps",
 		"v p50 cyc", "v p99 cyc", "bg p50", "bg p99", "bg loss%", "shed", "expired", "aged")
 	for _, p := range r.Points {
-		v, bg := p.Cell(qos.Voice), p.Cell(qos.Background)
+		v, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
 		var shed, expired, aged uint64
 		for _, c := range p.Classes {
 			shed += c.Shed
@@ -314,53 +297,32 @@ func FormatWireLatency(r WireResult) string {
 	return b.String()
 }
 
-// WireSmokeVerdict is the CI -wiresmoke gate's result: at half the
-// saturation load the service boundary must cost voice at most a factor
-// of two in p99 versus the in-process E13 measurement, and shed nothing.
-type WireSmokeVerdict struct {
-	// VoiceWireP99 is the wire-level voice p99 at 0.5x saturation;
-	// VoiceE13P99 the in-process E13 voice p99 at the same point; Factor
-	// the allowed ratio.
-	VoiceWireP99 sim.Time
-	VoiceE13P99  sim.Time
-	Factor       float64
-	VoiceShed    uint64
-	Point        WirePoint
-}
-
-// Pass reports whether the gate held.
-func (v WireSmokeVerdict) Pass() bool {
-	return v.VoiceShed == 0 &&
-		float64(v.VoiceWireP99) <= v.Factor*float64(v.VoiceE13P99)
-}
-
-func (v WireSmokeVerdict) String() string {
-	verdict := "ok"
-	if !v.Pass() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("wiresmoke %s: voice wire p99 %d cycles vs %d in-process at 0.5x saturation (limit %.0fx), voice shed %d (limit 0)",
-		verdict, v.VoiceWireP99, v.VoiceE13P99, v.Factor, v.VoiceShed)
-}
-
-// WireSmoke runs the one-point loopback E14 gate CI checks. Small on
-// purpose: one offered point, a short window, 64 sessions.
-func WireSmoke() WireSmokeVerdict {
+// WireSmoke runs the one-point loopback E14 gate CI checks: at half the
+// saturation load the service boundary may cost voice at most a factor
+// of two in wire p99 versus the in-process E13 measurement at the same
+// point, and may shed no voice packet. Small on purpose: one offered
+// point, a short window, 64 sessions. Measured is the WirePoint.
+func WireSmoke() Verdict {
 	e13 := LoadPointRun("qos-priority", 0.5, SaturationMbps(LoadMix, 8),
 		LoadCurveConfig{BackgroundPackets: 120})
-	cfg := WireConfig{
+	res := WireLatency(WireConfig{
 		Sessions:     64,
 		Offered:      []float64{0.5},
 		WindowCycles: 4096,
 		Windows:      24,
-	}
-	res := WireLatency(cfg)
+	})
 	p := res.Points[0]
-	return WireSmokeVerdict{
-		VoiceWireP99: p.Cell(qos.Voice).P99,
-		VoiceE13P99:  e13.Cell(qos.Voice).P99,
-		Factor:       2,
-		VoiceShed:    p.Cell(qos.Voice).Shed,
-		Point:        p,
+	voice, bg := p.Classes.Cell(qos.Voice), p.Classes.Cell(qos.Background)
+	e13P99 := e13.Classes.Cell(qos.Voice).P99
+	return Verdict{
+		Gate: "wire",
+		Checks: []Check{
+			check("voice wire p99 at 0.5x saturation", float64(voice.P99) <= 2*float64(e13P99),
+				"%d cycles vs %d in-process (limit 2x)", voice.P99, e13P99),
+			check("voice shed", voice.Shed == 0, "%d (limit 0)", voice.Shed),
+		},
+		Notes: []string{fmt.Sprintf("offered %.2fx: wire %.0f Mbps, background wire p99 %d cyc, loss %.2f%%",
+			p.Offered, p.WireMbps, bg.P99, 100*bg.LossFrac)},
+		Measured: p,
 	}
 }

@@ -113,6 +113,30 @@ func checkNonce(f cryptocore.Family, n int) error {
 	return fmt.Errorf("%w: %v with a %d-byte nonce", ErrBadNonce, f, n)
 }
 
+// ErrBadTagLen reports an authentication tag length the channel's mode
+// cannot produce. OpenChannel raises it before the device opens the
+// channel; the returned error wraps it with the mode and the length.
+var ErrBadTagLen = errors.New("radio: tag length not supported by the channel's mode")
+
+// checkTagLen rejects the tag lengths a family cannot produce: GCM tags
+// are 4 or 8 bytes or 12..16 (NIST SP 800-38D), CCM tags an even 4..16
+// (SP 800-38C). Output assembly slices the tag out of the 16-byte tag
+// block, so a longer tag would read past the packet. The other families
+// carry no tag.
+func checkTagLen(f cryptocore.Family, n int) error {
+	ok := true
+	switch f {
+	case cryptocore.FamilyGCM:
+		ok = n == 4 || n == 8 || (n >= 12 && n <= 16)
+	case cryptocore.FamilyCCM:
+		ok = n >= 4 && n <= 16 && n%2 == 0
+	}
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("%w: %v with a %d-byte tag", ErrBadTagLen, f, n)
+}
+
 // nopErr absorbs protocol acknowledgements nobody waits on.
 var nopErr = func(error) {}
 
@@ -167,8 +191,13 @@ func (req *inflightReq) streamWritten() {
 }
 
 // OpenChannel opens an MCCP channel and remembers its suite for packet
-// formatting.
+// formatting. A suite whose tag length the mode cannot produce fails
+// with ErrBadTagLen before the device is asked.
 func (cc *CommController) OpenChannel(s core.Suite, keyID int, cb func(ch int, err error)) {
+	if err := checkTagLen(s.Family, s.TagLen); err != nil {
+		cb(0, err)
+		return
+	}
 	cc.dev.Open(s, keyID, func(ch int, err error) {
 		if err == nil {
 			cc.suites[ch] = s

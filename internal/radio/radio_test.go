@@ -420,3 +420,62 @@ func TestBadNonceRefusedBeforeDispatch(t *testing.T) {
 		r.encrypt(t, ch, make([]byte, c.good), nil, pt)
 	}
 }
+
+// TestBadTagLenRefusedAtOpen is the regression test for a remote crash:
+// OpenChannel accepted any tag length, and the first ENCRYPT on a GCM
+// channel with a 17-byte tag then sliced past the 16-byte tag block while
+// assembling the output. Every length the mode cannot produce must fail
+// the open with ErrBadTagLen; every length it can must encrypt to the
+// reference output truncated to that tag.
+func TestBadTagLenRefusedAtOpen(t *testing.T) {
+	cases := []struct {
+		family    cryptocore.Family
+		nonce     int
+		bad, good []int
+	}{
+		{cryptocore.FamilyGCM, 12, []int{17, 255, 0, 1, 3, 5, 7, 9, 10, 11}, []int{4, 8, 12, 13, 14, 15, 16}},
+		{cryptocore.FamilyCCM, 13, []int{18, 255, 0, 2, 3, 5, 15}, []int{4, 6, 8, 10, 12, 14, 16}},
+	}
+	r := newRig(core.Config{Cores: 2})
+	pt := make([]byte, 40)
+	for _, c := range cases {
+		nonce := make([]byte, c.nonce)
+		for _, n := range c.bad {
+			keyID, _, err := r.mc.ProvisionKey(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, openErr := 0, error(nil)
+			r.cc.OpenChannel(core.Suite{Family: c.family, TagLen: n}, keyID, func(got int, err error) {
+				ch, openErr = got, err
+			})
+			r.eng.Run()
+			if openErr == nil {
+				// The channel opened: one ENCRYPT on it is the reproducer.
+				r.encrypt(t, ch, nonce, nil, pt)
+				t.Fatalf("%v channel opened with a %d-byte tag", c.family, n)
+			}
+			if !errors.Is(openErr, radio.ErrBadTagLen) {
+				t.Fatalf("%v with a %d-byte tag: %v, want ErrBadTagLen", c.family, n, openErr)
+			}
+		}
+		for _, n := range c.good {
+			ch, key := r.open(t, core.Suite{Family: c.family, TagLen: n}, 16)
+			got := r.encrypt(t, ch, nonce, nil, pt)
+			var want []byte
+			if c.family == cryptocore.FamilyGCM {
+				blk, _ := stdaes.NewCipher(key)
+				ref, _ := cipher.NewGCM(blk)
+				want = ref.Seal(nil, nonce, pt, nil)[:len(pt)+n]
+			} else {
+				var err error
+				if want, err = modes.CCMSeal(aes.MustNew(key), nonce, nil, pt, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v with a %d-byte tag:\n got %x\nwant %x", c.family, n, got, want)
+			}
+		}
+	}
+}

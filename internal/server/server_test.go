@@ -449,3 +449,51 @@ func TestBadNonceAnswersBadRequest(t *testing.T) {
 	srv.Close()
 	waitGoroutines(t, base)
 }
+
+// TestBadTagLenAnswersBadRequest is the loopback regression test for a
+// remote process kill: OPEN accepted any tag length, and one ENCRYPT on
+// a GCM session opened with a 17-byte tag then panicked the shard
+// goroutine assembling the output. OPEN must answer bad-request for
+// every length the mode cannot produce, and the server keep serving.
+func TestBadTagLenAnswersBadRequest(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv, lb := startLoopback(t, Config{Cluster: cluster.Config{Seed: 5}})
+	cl := dialClient(t, lb)
+	payload := make([]byte, 40)
+	for _, c := range []struct {
+		family cryptocore.Family
+		tag    int
+		nonce  int
+	}{
+		{cryptocore.FamilyGCM, 17, 12}, {cryptocore.FamilyGCM, 255, 12}, {cryptocore.FamilyGCM, 0, 12},
+		{cryptocore.FamilyGCM, 3, 12}, {cryptocore.FamilyGCM, 10, 12},
+		{cryptocore.FamilyCCM, 18, 13}, {cryptocore.FamilyCCM, 7, 13}, {cryptocore.FamilyCCM, 2, 13},
+	} {
+		if _, err := cl.SendOpen(OpenRequest{Family: c.family, KeyLen: 16, TagLen: c.tag, Class: qos.Data}); err != nil {
+			t.Fatal(err)
+		}
+		r, err := cl.ReadResponse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status == StatusOK {
+			// The session opened: one ENCRYPT on it is the reproducer.
+			cl.Encrypt(r.Session, make([]byte, c.nonce), nil, payload)
+			t.Fatalf("%v OPEN with a %d-byte tag accepted", c.family, c.tag)
+		}
+		if r.Status != StatusBadRequest {
+			t.Fatalf("%v OPEN with a %d-byte tag: status %v, want bad-request", c.family, c.tag, r.Status)
+		}
+	}
+	gcm, err := cl.Open(OpenRequest{Family: cryptocore.FamilyGCM, KeyLen: 16, TagLen: 8, Class: qos.Data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.Encrypt(gcm, make([]byte, 12), nil, payload)
+	if err != nil || r.Status != StatusOK || len(r.Out) != len(payload)+8 {
+		t.Fatalf("well-formed encrypt after bad OPENs: %v %v, %d bytes", r.Status, err, len(r.Out))
+	}
+	cl.Close()
+	srv.Close()
+	waitGoroutines(t, base)
+}

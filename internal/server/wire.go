@@ -125,10 +125,10 @@ func (s Status) String() string {
 // statusFor maps a cluster operation error to its protocol status: the
 // shared verdict value IS the status code, so the mapping is a cast of
 // the one classifier in internal/verdict (no second switch to keep in
-// sync with the cluster's counters). The one exception is a request the
+// sync with the cluster's counters). The exception is a request the
 // radio refused as unframeable, which the client sent malformed.
 func statusFor(err error) Status {
-	if errors.Is(err, radio.ErrBadNonce) {
+	if errors.Is(err, radio.ErrBadNonce) || errors.Is(err, radio.ErrBadTagLen) {
 		return StatusBadRequest
 	}
 	return Status(verdict.For(err))
