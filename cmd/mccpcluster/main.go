@@ -694,7 +694,7 @@ func runFleet(cfg cluster.WorkloadConfig, scaleTo int, srcName string) {
 	}
 
 	// Traffic still flows on the reshaped fleet.
-	if _, err := sessions[0].Encrypt(make([]byte, 12), nil, []byte("served by the elastic fleet")); err != nil {
+	if _, err := sessions[0].Do(cluster.Op{Nonce: make([]byte, 12), Data: []byte("served by the elastic fleet")}); err != nil {
 		log.Fatal(err)
 	}
 	exitReport(cl)
@@ -731,7 +731,7 @@ func runWithReconfig(cfg cluster.WorkloadConfig, shardID int) {
 		log.Fatal(err)
 	}
 	fmt.Printf("GCM session homed on shard %d, hash session on shard %d\n", ses.Shard(), hash.Shard())
-	digest, err := hash.Sum([]byte("hashing on the reconfigured shard"))
+	digest, err := hash.Do(cluster.Op{Kind: cluster.OpHash, Data: []byte("hashing on the reconfigured shard")})
 	if err != nil {
 		log.Fatal(err)
 	}

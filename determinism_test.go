@@ -402,7 +402,7 @@ func wireGuardInProcess(t *testing.T) []uint64 {
 		si, nonce, payload := wireGuardPacket(seq)
 		ses := sessions[si]
 		shard := ses.Shard()
-		ses.EncryptWireAsync(nonce, nil, payload, 0, func(out []byte, _ sim.Time, err error) {
+		ses.Submit(cluster.Op{Nonce: nonce, Data: payload}, func(out []byte, _ sim.Time, err error) {
 			if err != nil {
 				t.Errorf("in-process packet %d: %v", seq, err)
 				return

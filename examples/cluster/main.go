@@ -47,7 +47,7 @@ func main() {
 	completed := 0
 	for p := 0; p < 32; p++ {
 		payload := make([]byte, 512+32*p)
-		sessions[p%len(sessions)].EncryptAsync(nonce, nil, payload, func(out []byte, err error) {
+		sessions[p%len(sessions)].Submit(mccp.ClusterOp{Nonce: nonce, Data: payload}, func(out []byte, _ mccp.Cycles, err error) {
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	digest, err := hash.Sum([]byte("hashing service on shard 3"))
+	digest, err := hash.Do(mccp.ClusterOp{Kind: mccp.OpHash, Data: []byte("hashing service on shard 3")})
 	if err != nil {
 		log.Fatal(err)
 	}

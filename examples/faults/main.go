@@ -69,7 +69,7 @@ func main() {
 	down := 0
 	for round := 0; round < 4; round++ {
 		for _, ses := range sessions {
-			if _, err := ses.Encrypt(nonce, nil, []byte("traffic during the fault")); err != nil {
+			if _, err := ses.Do(mccp.ClusterOp{Nonce: nonce, Data: []byte("traffic during the fault")}); err != nil {
 				if !errors.Is(err, mccp.ErrShardDown) {
 					log.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func main() {
 		if ses.Closed() {
 			continue
 		}
-		_, err := ses.Encrypt(nonce, nil, []byte("post-brownout"))
+		_, err := ses.Do(mccp.ClusterOp{Nonce: nonce, Data: []byte("post-brownout")})
 		switch {
 		case err == nil:
 		case errors.Is(err, mccp.ErrShed):

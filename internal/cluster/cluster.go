@@ -8,6 +8,10 @@
 //
 // The front end provides:
 //
+//   - one submit path: Session.Submit queues an Op (encrypt, decrypt or
+//     hash) and Session.Do is its synchronous form; control work (session
+//     open/close, reconfiguration, restart, brownout, arrival programs)
+//     rides the same batches through one internal helper;
 //   - pluggable routing policies (hash-by-key, least-loaded,
 //     family-affinity, qos-aware) that decide which shard homes each
 //     session;
@@ -28,7 +32,7 @@
 // callbacks always run on the caller's goroutine in global enqueue order
 // — the drainer merges each shard's completion stream back into sequence
 // — but they are delivered incrementally as batches finish, not only at
-// Flush barriers. Operation input buffers (nonce/AAD/payload) must stay
+// Flush barriers. An Op's input buffers (nonce/AAD/data/tag) must stay
 // untouched until the operation's callback runs.
 package cluster
 
@@ -50,6 +54,7 @@ import (
 	"mccp/internal/reconfig"
 	"mccp/internal/scheduler"
 	"mccp/internal/sim"
+	"mccp/internal/verdict"
 )
 
 // Config sizes a Cluster.
@@ -138,15 +143,40 @@ func (c *Config) fill() {
 	}
 }
 
-// opKind selects a pendingOp's device operation.
-type opKind uint8
+// OpKind selects a packet operation's device work.
+type OpKind uint8
 
 const (
-	opEncrypt opKind = iota
-	opDecrypt
-	opHash
-	opGeneric
+	// OpEncrypt protects Data: out is ciphertext||tag (GCM/CCM), the
+	// transformed data (CTR) or the MAC (CBC-MAC).
+	OpEncrypt OpKind = iota
+	// OpDecrypt verifies Data against Tag and recovers it: out is the
+	// plaintext, or the error is radio.ErrAuth.
+	OpDecrypt
+	// OpHash digests Data on a Whirlpool session.
+	OpHash
 )
+
+// Op is one packet operation for Session.Submit: the single request shape
+// of the paper's Communication Controller (§III.C). Nonce, AAD, Data and
+// Tag must stay untouched until the operation's callback runs.
+type Op struct {
+	Kind  OpKind
+	Nonce []byte
+	AAD   []byte
+	// Data is the payload (encrypt), the ciphertext (decrypt) or the
+	// message (hash).
+	Data []byte
+	// Tag is the received tag (decrypt only).
+	Tag []byte
+	// Deadline is a relative virtual-time budget in cycles from dispatch on
+	// the owning shard (0 = none). It only acts when the cluster runs
+	// per-shard shapers (Config.Shape): a packet still queued past its
+	// budget is dropped with qos.ErrExpired, a late completion ticks the
+	// class's DeadlineMisses. Encrypt only: a decrypt deadline is not
+	// supported and is ignored.
+	Deadline sim.Time
+}
 
 // pendingOp is one queued operation: its submission arguments, its result
 // slot and its place in the delivery sequence. Slots are pooled on the
@@ -156,20 +186,13 @@ const (
 // observing the shard's completed-batch counter (the happens-before
 // edge).
 type pendingOp struct {
-	// Submission (set by the front end before dispatch).
-	kind  opKind
+	// Submission (set by the front end before dispatch). class feeds the
+	// per-shard shaper (Config.Shape).
+	req   Op
 	ch    int
-	nonce []byte
-	aad   []byte
-	data  []byte
-	tag   []byte
-	// class and deadline feed the per-shard shaper (Config.Shape):
-	// deadline is a relative virtual-time budget, converted to an
-	// absolute shard time at dispatch (the front end cannot know a
-	// shard's clock).
-	class    qos.Class
-	deadline sim.Time
-	// run is the opGeneric body (session open/close, reconfiguration).
+	class qos.Class
+	// run is a control operation's body (session open/close,
+	// reconfiguration, an arrival program); nil for packet operations.
 	run func(sh *shard, op *pendingOp, done func())
 
 	// Results (set by the shard goroutine).
@@ -178,13 +201,10 @@ type pendingOp struct {
 	took  sim.Time
 	err   error
 
-	// Delivery bookkeeping (front end). cb is the plain completion; cbt
-	// the timing-aware variant (EncryptWireAsync/DecryptWireAsync) that
-	// also receives the shard-side service latency — cycles from the
-	// carrying batch's start to the operation's completion. At most one of
-	// the two is set.
-	cb     func([]byte, error)
-	cbt    func([]byte, sim.Time, error)
+	// Delivery bookkeeping (front end). cb receives the result with the
+	// shard-side service latency: cycles from the carrying batch's start
+	// to the operation's completion.
+	cb     func([]byte, sim.Time, error)
 	shard  int
 	nbytes int
 	batch  uint64 // shard-local batch sequence this op ships in
@@ -279,9 +299,9 @@ type Cluster struct {
 	flushes atomic.Uint64
 	batches atomic.Uint64
 	// verdicts tallies the wire-protocol verdict of every delivered packet
-	// operation (opGeneric control ops excluded), indexed by the vOK..vFailed
-	// constants. Atomics so Snapshot reads them concurrently.
-	verdicts [numVerdicts]atomic.Uint64
+	// operation (control operations excluded), indexed by verdict.Verdict.
+	// Atomics so Snapshot reads them concurrently.
+	verdicts [verdict.Num]atomic.Uint64
 	// Wall-clock accounting: the pipeline is "active" from a dispatch
 	// until every pushed batch has completed and been delivered;
 	// wallSeconds accumulates those active intervals (generation overlaps
@@ -413,16 +433,24 @@ func (c *Cluster) getSlot() *pendingOp {
 	return op
 }
 
-// putSlot recycles a delivered slot.
+// putSlot recycles a delivered slot, keeping only its prebuilt finish
+// callback.
 func (c *Cluster) putSlot(op *pendingOp) {
-	op.nonce, op.aad, op.data, op.tag = nil, nil, nil, nil
-	op.run, op.cb, op.cbt = nil, nil, nil
-	op.out, op.err = nil, nil
-	op.sh = nil
-	op.class, op.deadline, op.took = 0, 0, 0
-	op.retain = false
-	op.next = c.freeSlots
+	*op = pendingOp{finish: op.finish, next: c.freeSlots}
 	c.freeSlots = op
+}
+
+// control enqueues a control operation on one shard: run executes on the
+// shard goroutine, in batch order with packet work, and calls done once
+// its outcome is in op's result fields. The returned slot is retained
+// past delivery; the caller reads its result after a Flush and releases
+// it with putSlot.
+func (c *Cluster) control(shardID int, run func(sh *shard, op *pendingOp, done func())) *pendingOp {
+	slot := c.getSlot()
+	slot.retain = true
+	slot.shard = shardID
+	slot.run = run
+	return c.enqueue(slot, false)
 }
 
 // enqueue appends a filled slot to its shard's next batch and records it
@@ -516,17 +544,15 @@ func (c *Cluster) deliverLoop() {
 		if slot.err == nil {
 			c.bytesDone[slot.shard].Add(uint64(slot.nbytes))
 		}
-		if slot.kind != opGeneric {
-			c.verdicts[verdictIndex(slot.err)].Add(1)
+		if slot.run == nil {
+			c.verdicts[verdict.For(slot.err)].Add(1)
 		}
-		cb, cbt, out, took, err := slot.cb, slot.cbt, slot.out, slot.took, slot.err
+		cb, out, took, err := slot.cb, slot.out, slot.took, slot.err
 		if !slot.retain {
 			c.putSlot(slot)
 		}
 		if cb != nil {
-			cb(out, err)
-		} else if cbt != nil {
-			cbt(out, took, err)
+			cb(out, took, err)
 		}
 	}
 	if c.ordHead == len(c.order) {
@@ -650,13 +676,7 @@ func (c *Cluster) Open(spec OpenSpec) (*Session, error) {
 func (c *Cluster) openOn(ses *Session, shardID int) *pendingOp {
 	key := ses.key[:ses.keyLen]
 	suite := ses.suite
-	slot := c.getSlot()
-	slot.kind = opGeneric
-	slot.retain = true
-	slot.shard = shardID
-	slot.nbytes = 0
-	slot.cb = nil
-	slot.run = func(sh *shard, op *pendingOp, done func()) {
+	return c.control(shardID, func(sh *shard, op *pendingOp, done func()) {
 		keyID := 0
 		if len(key) > 0 {
 			id, err := sh.mc.InstallKey(key)
@@ -671,8 +691,7 @@ func (c *Cluster) openOn(ses *Session, shardID int) *pendingOp {
 			op.chOut, op.err = ch, err
 			done()
 		})
-	}
-	return c.enqueue(slot, false)
+	})
 }
 
 // info builds the router's view of the session.
@@ -695,120 +714,31 @@ func (s *Session) ID() int { return s.id }
 // Shard returns the shard currently homing the session.
 func (s *Session) Shard() int { return s.shardID }
 
-// EncryptAsync queues one packet for the session's shard; cb runs on the
-// caller's goroutine — in enqueue order, as soon as the batch that
-// carries the packet has completed — receiving ciphertext||tag (GCM/CCM),
-// the transformed data (CTR) or the MAC (CBC-MAC). nonce/aad/payload must
-// stay untouched until cb runs; the result buffer is pooled and may be
-// recycled by the callback with bufpool.PutBytes (retaining it is equally
-// safe).
-func (s *Session) EncryptAsync(nonce, aad, payload []byte, cb func([]byte, error)) {
-	s.EncryptDeadlineAsync(nonce, aad, payload, 0, cb)
-}
-
-// EncryptDeadlineAsync is EncryptAsync with a relative virtual-time
-// deadline budget (cycles from dispatch on the owning shard; 0 = none).
-// Deadlines only act when the cluster runs per-shard shapers
-// (Config.Shape): a packet still queued past its budget is dropped with
-// qos.ErrExpired, a late completion ticks the class's DeadlineMisses.
-func (s *Session) EncryptDeadlineAsync(nonce, aad, payload []byte, deadline sim.Time, cb func([]byte, error)) {
+// Submit queues one packet operation for the session's shard. cb runs on
+// the caller's goroutine — in enqueue order, as soon as the batch that
+// carries the packet has completed — with the operation's output, its
+// shard-side service latency (virtual cycles from the start of the batch
+// that carried the packet to its completion or verdict) and its error.
+// The output buffer is pooled and may be recycled by the callback with
+// bufpool.PutBytes (retaining it is equally safe). cb may be nil.
+func (s *Session) Submit(op Op, cb func(out []byte, took sim.Time, err error)) {
 	c := s.cl
 	slot := c.getSlot()
-	slot.kind = opEncrypt
+	slot.req = op
 	slot.ch = s.chID
-	slot.nonce, slot.aad, slot.data = nonce, aad, payload
-	slot.class, slot.deadline = s.class, deadline
-	slot.cb = cb
-	slot.shard = s.shardID
-	slot.nbytes = len(payload)
-	c.enqueue(slot, s.hp)
-}
-
-// DecryptAsync queues one packet for verification and recovery; cb
-// receives the plaintext or ErrAuth.
-func (s *Session) DecryptAsync(nonce, aad, ct, tag []byte, cb func([]byte, error)) {
-	c := s.cl
-	slot := c.getSlot()
-	slot.kind = opDecrypt
-	slot.ch = s.chID
-	slot.nonce, slot.aad, slot.data, slot.tag = nonce, aad, ct, tag
 	slot.class = s.class
 	slot.cb = cb
 	slot.shard = s.shardID
-	slot.nbytes = len(ct)
+	slot.nbytes = len(op.Data)
 	c.enqueue(slot, s.hp)
 }
 
-// EncryptWireAsync is EncryptDeadlineAsync for service-boundary callers:
-// cb additionally receives the shard-side service latency — virtual
-// cycles from the start of the batch that carried the packet to the
-// packet's completion (or verdict). The server front end adds this to the
-// client-side batching wait to report end-to-end wire latency.
-func (s *Session) EncryptWireAsync(nonce, aad, payload []byte, deadline sim.Time, cb func([]byte, sim.Time, error)) {
-	c := s.cl
-	slot := c.getSlot()
-	slot.kind = opEncrypt
-	slot.ch = s.chID
-	slot.nonce, slot.aad, slot.data = nonce, aad, payload
-	slot.class, slot.deadline = s.class, deadline
-	slot.cbt = cb
-	slot.shard = s.shardID
-	slot.nbytes = len(payload)
-	c.enqueue(slot, s.hp)
-}
-
-// DecryptWireAsync is DecryptAsync with the same shard-side service
-// latency reporting as EncryptWireAsync.
-func (s *Session) DecryptWireAsync(nonce, aad, ct, tag []byte, cb func([]byte, sim.Time, error)) {
-	c := s.cl
-	slot := c.getSlot()
-	slot.kind = opDecrypt
-	slot.ch = s.chID
-	slot.nonce, slot.aad, slot.data, slot.tag = nonce, aad, ct, tag
-	slot.class = s.class
-	slot.cbt = cb
-	slot.shard = s.shardID
-	slot.nbytes = len(ct)
-	c.enqueue(slot, s.hp)
-}
-
-// SumAsync queues a Whirlpool digest on a hash session.
-func (s *Session) SumAsync(msg []byte, cb func([]byte, error)) {
-	c := s.cl
-	slot := c.getSlot()
-	slot.kind = opHash
-	slot.ch = s.chID
-	slot.data = msg
-	slot.cb = cb
-	slot.shard = s.shardID
-	slot.nbytes = len(msg)
-	c.enqueue(slot, s.hp)
-}
-
-// Encrypt is the synchronous form of EncryptAsync: it flushes the batch
-// containing the packet and returns its result.
-func (s *Session) Encrypt(nonce, aad, payload []byte) ([]byte, error) {
+// Do is the synchronous form of Submit: it flushes the batch containing
+// the operation and returns its result.
+func (s *Session) Do(op Op) ([]byte, error) {
 	var out []byte
 	var err error
-	s.EncryptAsync(nonce, aad, payload, func(o []byte, e error) { out, err = o, e })
-	s.cl.Flush()
-	return out, err
-}
-
-// Decrypt is the synchronous form of DecryptAsync.
-func (s *Session) Decrypt(nonce, aad, ct, tag []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	s.DecryptAsync(nonce, aad, ct, tag, func(o []byte, e error) { out, err = o, e })
-	s.cl.Flush()
-	return out, err
-}
-
-// Sum is the synchronous form of SumAsync.
-func (s *Session) Sum(msg []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	s.SumAsync(msg, func(o []byte, e error) { out, err = o, e })
+	s.Submit(op, func(o []byte, _ sim.Time, e error) { out, err = o, e })
 	s.cl.Flush()
 	return out, err
 }
@@ -816,19 +746,12 @@ func (s *Session) Sum(msg []byte) ([]byte, error) {
 // closeOn enqueues a channel close; the returned slot is retained for the
 // caller to read after a Flush.
 func (c *Cluster) closeOn(shardID, ch int) *pendingOp {
-	slot := c.getSlot()
-	slot.kind = opGeneric
-	slot.retain = true
-	slot.shard = shardID
-	slot.nbytes = 0
-	slot.cb = nil
-	slot.run = func(sh *shard, op *pendingOp, done func()) {
+	return c.control(shardID, func(sh *shard, op *pendingOp, done func()) {
 		sh.cc.CloseChannel(ch, func(err error) {
 			op.err = err
 			done()
 		})
-	}
-	return c.enqueue(slot, false)
+	})
 }
 
 // Closed reports whether the session is gone — explicitly closed, or a

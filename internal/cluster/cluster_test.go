@@ -10,6 +10,7 @@ import (
 	"mccp/internal/cryptocore"
 	"mccp/internal/qos"
 	"mccp/internal/reconfig"
+	"mccp/internal/sim"
 	"mccp/internal/trafficgen"
 	"mccp/internal/whirlpool"
 )
@@ -26,14 +27,14 @@ func TestClusterRoundtrip(t *testing.T) {
 	}
 	nonce := make([]byte, 12)
 	payload := []byte("sharded multi-MCCP service layer")
-	sealed, err := ses.Encrypt(nonce, []byte("hdr"), payload)
+	sealed, err := ses.Do(Op{Nonce: nonce, AAD: []byte("hdr"), Data: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sealed) != len(payload)+16 {
 		t.Fatalf("sealed length %d", len(sealed))
 	}
-	plain, err := ses.Decrypt(nonce, []byte("hdr"), sealed[:len(payload)], sealed[len(payload):])
+	plain, err := ses.Do(Op{Kind: OpDecrypt, Nonce: nonce, AAD: []byte("hdr"), Data: sealed[:len(payload)], Tag: sealed[len(payload):]})
 	if err != nil || !bytes.Equal(plain, payload) {
 		t.Fatalf("roundtrip: %v", err)
 	}
@@ -68,7 +69,7 @@ func TestClusterBatchDispatch(t *testing.T) {
 	nonce := make([]byte, 12)
 	for p := 0; p < packets; p++ {
 		p := p
-		sessions[p%len(sessions)].EncryptAsync(nonce, nil, make([]byte, 256), func(out []byte, err error) {
+		sessions[p%len(sessions)].Submit(Op{Nonce: nonce, Data: make([]byte, 256)}, func(out []byte, _ sim.Time, err error) {
 			if err != nil {
 				t.Errorf("packet %d: %v", p, err)
 			}
@@ -196,7 +197,7 @@ func TestFamilyAffinityAndReconfigure(t *testing.T) {
 		t.Fatalf("hash session homed on shard %d, want 1", hs.Shard())
 	}
 	msg := []byte("steered to the reconfigured shard")
-	digest, err := hs.Sum(msg)
+	digest, err := hs.Do(Op{Kind: OpHash, Data: msg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,11 @@ func TestFamilyAffinityAndReconfigure(t *testing.T) {
 	// re-installed on the new shard).
 	nonce := make([]byte, 12)
 	payload := []byte("moved and still serving")
-	sealed, err := aes[0].Encrypt(nonce, nil, payload)
+	sealed, err := aes[0].Do(Op{Nonce: nonce, Data: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := aes[0].Decrypt(nonce, nil, sealed[:len(payload)], sealed[len(payload):])
+	plain, err := aes[0].Do(Op{Kind: OpDecrypt, Nonce: nonce, Data: sealed[:len(payload)], Tag: sealed[len(payload):]})
 	if err != nil || !bytes.Equal(plain, payload) {
 		t.Fatalf("post-move roundtrip: %v", err)
 	}
@@ -360,11 +361,11 @@ func TestRebalanceMovesSessions(t *testing.T) {
 	// The moved session still works on its new home.
 	nonce := make([]byte, 12)
 	payload := []byte("re-homed")
-	sealed, err := a.Encrypt(nonce, nil, payload)
+	sealed, err := a.Do(Op{Nonce: nonce, Data: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain, err := a.Decrypt(nonce, nil, sealed[:len(payload)], sealed[len(payload):]); err != nil || !bytes.Equal(plain, payload) {
+	if plain, err := a.Do(Op{Kind: OpDecrypt, Nonce: nonce, Data: sealed[:len(payload)], Tag: sealed[len(payload):]}); err != nil || !bytes.Equal(plain, payload) {
 		t.Fatalf("post-move roundtrip: %v", err)
 	}
 }
@@ -479,7 +480,7 @@ func TestReconfigureRefusesToStrandSessions(t *testing.T) {
 		t.Fatal("reconfiguration stranded an open hash session")
 	}
 	// The session is still serviceable after the refused swap.
-	if _, err := hs.Sum([]byte("still homed")); err != nil {
+	if _, err := hs.Do(Op{Kind: OpHash, Data: []byte("still homed")}); err != nil {
 		t.Fatal(err)
 	}
 	// After closing the hash session the swap back is allowed.
@@ -657,7 +658,10 @@ func openLoopProfiles() []arrivals.ClassProfile {
 
 // TestOpenLoopDeterminism: two open-loop runs with the same seed are
 // bit-identical — arrival digests, verdict counts, percentiles, shard
-// cycles, everything.
+// cycles, everything — and the arrival digests and shard cycles are the
+// pinned values, so a change to RunOpenLoop's stream derivation (seed
+// split, rate split, source grouping) fails here rather than only
+// between runs.
 func TestOpenLoopDeterminism(t *testing.T) {
 	run := func() OpenLoopResult {
 		res, err := RunOpenLoop(OpenLoopConfig{
@@ -676,6 +680,12 @@ func TestOpenLoopDeterminism(t *testing.T) {
 	}
 	if a.Errors != 0 {
 		t.Fatalf("unexpected hard errors: %d", a.Errors)
+	}
+	wantDigests := []uint64{0x14e2a567c654a54e, 0xb385755ddcd5b4af}
+	wantCycles := []sim.Time{603697, 608390}
+	if !reflect.DeepEqual(a.ArrivalDigests, wantDigests) || !reflect.DeepEqual(a.ShardCycles, wantCycles) {
+		t.Fatalf("arrival digests %#x, shard cycles %v; want %#x, %v",
+			a.ArrivalDigests, a.ShardCycles, wantDigests, wantCycles)
 	}
 }
 

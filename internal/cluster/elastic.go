@@ -99,19 +99,12 @@ func (c *Cluster) BeginReconfigure(shardID, coreID int, target reconfig.Engine, 
 	if err := c.checkReconfigLeavesHomes(shardID, coreID, target); err != nil {
 		return nil, err
 	}
-	slot := c.getSlot()
-	slot.kind = opGeneric
-	slot.retain = true
-	slot.shard = shardID
-	slot.nbytes = 0
-	slot.cb = nil
-	slot.run = func(sh *shard, op *pendingOp, done func()) {
+	slot := c.control(shardID, func(sh *shard, op *pendingOp, done func()) {
 		sh.rc.Reconfigure(coreID, target, src, func(took sim.Time, err error) {
 			op.took, op.err = took, err
 			done()
 		})
-	}
-	c.enqueue(slot, false)
+	})
 	return &ReconfigOp{c: c, slot: slot, shardID: shardID}, nil
 }
 
@@ -141,11 +134,11 @@ type OpenLoopRunnerConfig struct {
 	// Profiles is the traffic mix (one profile per class).
 	Profiles []arrivals.ClassProfile
 	// OfferedMbps is the cluster-total offered load at the modeled clock.
-	// Unlike RunOpenLoop's per-shard normalization, the runner splits a
-	// fixed cluster-wide rate across its sources, so the total offered
-	// load stays constant while sessions re-home between windows — the
-	// point of the elastic experiments: fewer serving shards means more
-	// offered load per shard, not less total load.
+	// The runner splits this fixed cluster-wide rate across its sources,
+	// so the total offered load stays constant while sessions re-home
+	// between windows — the point of the elastic experiments: fewer
+	// serving shards means more offered load per shard, not less total
+	// load.
 	OfferedMbps float64
 	// SourcesPerClass is the number of independent arrival sources per
 	// class (default: the cluster's shard count). Each source is one
@@ -166,11 +159,11 @@ type runnerSource struct {
 }
 
 // OpenLoopRunner drives an open-loop arrival stream against a shaped
-// cluster in measurement windows. It differs from RunOpenLoop in three
-// load-bearing ways: it runs against a caller-owned cluster (so the
-// fleet controller can drain, swap and rebalance between windows), its
-// sessions and PRNG streams persist across windows (so the arrival
-// sequence is one deterministic stream, not a fresh workload per
+// cluster in measurement windows — the cluster's one open-loop driver
+// (RunOpenLoop is a single window of it). It runs against a caller-owned
+// cluster (so the fleet controller can drain, swap and rebalance between
+// windows), its sessions and PRNG streams persist across windows (so the
+// arrival sequence is one deterministic stream, not a fresh workload per
 // window), and each window reports per-class deltas rather than
 // cumulative counters. All virtual-time results are deterministic for a
 // given config and window sequence.
@@ -196,6 +189,9 @@ type OpenLoopWindow struct {
 	// arrival stream; Digest folds them in shard order.
 	ArrivalDigests []uint64
 	Digest         uint64
+	// ShardCycles is each shard's virtual time consumed by the window (0
+	// on a shard that homes no source).
+	ShardCycles []sim.Time
 	// Errors counts completions with unexpected verdicts.
 	Errors int
 }
@@ -324,23 +320,15 @@ func (r *OpenLoopRunner) RunWindow(horizon sim.Time) (OpenLoopWindow, error) {
 		if len(p.sessions) == 0 {
 			continue
 		}
-		p := p
-		slot := r.cl.getSlot()
-		slot.kind = opGeneric
-		slot.retain = true
-		slot.shard = shardID
-		slot.nbytes = 0
-		slot.cb = nil
-		slot.run = func(sh *shard, op *pendingOp, done func()) {
-			runOpenLoopShard(sh, p, r.procName, 0, horizon, done)
-		}
-		p.slot = slot
-		r.cl.enqueue(slot, false)
+		p.slot = r.cl.control(shardID, func(sh *shard, op *pendingOp, done func()) {
+			runOpenLoopShard(sh, p, r.procName, horizon, done)
+		})
 	}
 	r.cl.Flush()
 	w := OpenLoopWindow{
 		Horizon:        horizon,
 		ArrivalDigests: make([]uint64, r.cl.Shards()),
+		ShardCycles:    make([]sim.Time, r.cl.Shards()),
 		Digest:         arrivals.DigestInit,
 	}
 	for shardID, p := range programs {
@@ -348,6 +336,7 @@ func (r *OpenLoopRunner) RunWindow(horizon sim.Time) (OpenLoopWindow, error) {
 			r.cl.putSlot(p.slot)
 		}
 		w.ArrivalDigests[shardID] = p.digest
+		w.ShardCycles[shardID] = p.cycles
 		w.Digest = (w.Digest ^ p.digest) * 0x100000001b3
 		w.Errors += p.errors
 	}

@@ -10,25 +10,6 @@ import (
 	"mccp/internal/verdict"
 )
 
-// Verdict indices for the Cluster.verdicts counters: the shared
-// verdict.Verdict values, so the cluster counters, the public mccp.Verdict
-// and the server's wire statuses all derive from the one table in
-// internal/verdict.
-const (
-	vOK         = int(verdict.OK)
-	vRejected   = int(verdict.Rejected)
-	vShed       = int(verdict.Shed)
-	vExpired    = int(verdict.Expired)
-	vAged       = int(verdict.Aged)
-	vAuthFail   = int(verdict.AuthFail)
-	vFailed     = int(verdict.Failed)
-	numVerdicts = verdict.Num
-)
-
-// verdictIndex classifies a delivered operation's error into the wire
-// verdict the server front end reports as a protocol status code.
-func verdictIndex(err error) int { return int(verdict.For(err)) }
-
 // VerdictCounts tallies delivered packet operations by wire verdict: OK
 // for clean completions, Rejected for the paper's no-idle-core error
 // flag, Shed/Expired/Aged for the QoS admission verdicts, AuthFail for
@@ -163,13 +144,13 @@ func (c *Cluster) buildMetrics(frontEnd bool) Metrics {
 		Flushes:     c.flushes.Load(),
 		WallSeconds: math.Float64frombits(c.wallSeconds.Load()),
 		Verdicts: VerdictCounts{
-			OK:       c.verdicts[vOK].Load(),
-			Rejected: c.verdicts[vRejected].Load(),
-			Shed:     c.verdicts[vShed].Load(),
-			Expired:  c.verdicts[vExpired].Load(),
-			Aged:     c.verdicts[vAged].Load(),
-			AuthFail: c.verdicts[vAuthFail].Load(),
-			Failed:   c.verdicts[vFailed].Load(),
+			OK:       c.verdicts[verdict.OK].Load(),
+			Rejected: c.verdicts[verdict.Rejected].Load(),
+			Shed:     c.verdicts[verdict.Shed].Load(),
+			Expired:  c.verdicts[verdict.Expired].Load(),
+			Aged:     c.verdicts[verdict.Aged].Load(),
+			AuthFail: c.verdicts[verdict.AuthFail].Load(),
+			Failed:   c.verdicts[verdict.Failed].Load(),
 		},
 	}
 	for i, sh := range c.shards {

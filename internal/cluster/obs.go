@@ -9,17 +9,10 @@ import (
 	"mccp/internal/verdict"
 )
 
-// This file is the cluster's face of the observability plane: the span
-// outcome classifier (the one verdict table, cast), the postmortem
-// reader over every shard's flight recorder, the traced-span export, and
-// the metrics-registry collector that exposes the cluster snapshot
-// through the same read path as every other metric.
-
-// outcomeFor classifies a packet error as a span outcome. obs mirrors
-// verdict's numeric order exactly so the whole mapping is a cast of the
-// single classifier in internal/verdict (obs itself sits below qos and
-// cannot import it).
-func outcomeFor(err error) obs.Outcome { return obs.Outcome(verdict.For(err)) }
+// This file is the cluster's face of the observability plane: the
+// postmortem reader over every shard's flight recorder, the traced-span
+// export, and the metrics-registry collector that exposes the cluster
+// snapshot through the same read path as every other metric.
 
 // Postmortems returns every frozen flight-recorder dump in the cluster:
 // dumps archived from shard incarnations retired by Restart, then each

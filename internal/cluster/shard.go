@@ -11,6 +11,7 @@ import (
 	"mccp/internal/reconfig"
 	"mccp/internal/scheduler"
 	"mccp/internal/sim"
+	"mccp/internal/verdict"
 )
 
 // batchMsg is one dispatch quantum on a shard's submission ring: the ops
@@ -154,7 +155,7 @@ func newShard(id int, cfg Config, pol scheduler.Policy) *shard {
 			tc := cfg.Trace
 			tc.Tag = int32(id)
 			tc.Seed = cfg.Trace.Seed ^ uint64(id+1)*0x9E3779B97F4A7C15
-			tc.Classify = outcomeFor
+			tc.Classify = verdict.For
 			tc.OnEnd = sh.rec.RecordSpan
 			sh.tr = obs.NewTracer(eng, tc)
 			sh.shaper.SetTracer(sh.tr)
@@ -260,27 +261,32 @@ func (sh *shard) opDone() {
 // queued under the drain policy and latency-tracked. Relative deadline
 // budgets become absolute shard times here.
 func (sh *shard) exec(op *pendingOp) {
-	switch op.kind {
-	case opEncrypt:
+	if op.run != nil {
+		op.run(sh, op, sh.doneFn)
+		return
+	}
+	r := &op.req
+	switch r.Kind {
+	case OpEncrypt:
 		if sh.shaper != nil {
 			deadline := sim.Time(0)
-			if op.deadline != 0 {
-				deadline = sh.eng.Now() + op.deadline
+			if r.Deadline != 0 {
+				deadline = sh.eng.Now() + r.Deadline
 			}
-			sh.shaper.EncryptDeadline(op.class, op.ch, op.nonce, op.aad, op.data, deadline, op.finish)
+			sh.shaper.EncryptDeadline(op.class, op.ch, r.Nonce, r.AAD, r.Data, deadline, op.finish)
 			return
 		}
-		sh.cc.Encrypt(op.ch, op.nonce, op.aad, op.data, op.finish)
-	case opDecrypt:
+		sh.cc.Encrypt(op.ch, r.Nonce, r.AAD, r.Data, op.finish)
+	case OpDecrypt:
 		if sh.shaper != nil {
-			sh.shaper.Decrypt(op.class, op.ch, op.nonce, op.aad, op.data, op.tag, op.finish)
+			sh.shaper.Decrypt(op.class, op.ch, r.Nonce, r.AAD, r.Data, r.Tag, op.finish)
 			return
 		}
-		sh.cc.Decrypt(op.ch, op.nonce, op.aad, op.data, op.tag, op.finish)
-	case opHash:
-		sh.cc.Hash(op.ch, op.data, op.finish)
+		sh.cc.Decrypt(op.ch, r.Nonce, r.AAD, r.Data, r.Tag, op.finish)
+	case OpHash:
+		sh.cc.Hash(op.ch, r.Data, op.finish)
 	default:
-		op.run(sh, op, sh.doneFn)
+		op.finish(nil, fmt.Errorf("cluster: unknown operation kind %d", r.Kind))
 	}
 }
 

@@ -4,11 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"mccp/internal/sim"
 	"mccp/internal/trafficgen"
 )
 
 // TestParallelDrainStress is the pipelined dispatcher's contract test,
-// designed to run under -race: large concurrent EncryptAsync bursts
+// designed to run under -race: large concurrent Submit bursts
 // across 8 shards with irregular flush points, asserting that (1) every
 // callback is delivered on the caller's goroutine in exact enqueue order
 // — the sequence-numbered merge of 8 concurrent completion streams — and
@@ -60,7 +61,7 @@ func TestParallelDrainStress(t *testing.T) {
 			ses := sessions[si]
 			pkt := gen.Next(si/4, ses.ID()) // standard matching the session's suite
 			shardID := ses.Shard()
-			ses.EncryptAsync(pkt.Nonce, pkt.AAD, pkt.Payload, func(out []byte, err error) {
+			ses.Submit(Op{Nonce: pkt.Nonce, AAD: pkt.AAD, Data: pkt.Payload}, func(out []byte, _ sim.Time, err error) {
 				if err != nil {
 					t.Errorf("packet %d: %v", p, err)
 				}

@@ -5,7 +5,6 @@ import (
 
 	"mccp/internal/arrivals"
 	"mccp/internal/bufpool"
-	"mccp/internal/core"
 	"mccp/internal/cryptocore"
 	"mccp/internal/obs"
 	"mccp/internal/qos"
@@ -143,7 +142,7 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadResult, error) {
 		class := cfg.Mix[i%len(cfg.Mix)].Class()
 		shardID := ses.Shard()
 		n := len(pkt.Payload)
-		ses.EncryptAsync(pkt.Nonce, pkt.AAD, pkt.Payload, func(out []byte, err error) {
+		ses.Submit(Op{Nonce: pkt.Nonce, AAD: pkt.AAD, Data: pkt.Payload}, func(out []byte, _ sim.Time, err error) {
 			trafficgen.ReleasePacket(pkt)
 			if err != nil {
 				res.Errors++
@@ -274,7 +273,9 @@ type OpenLoopConfig struct {
 	ClassQueueDepth int
 	AgeLimit        sim.Time
 	// Offered is the offered load per shard as a fraction of
-	// SatMbpsPerShard (1.0 = the saturation knee).
+	// SatMbpsPerShard (1.0 = the saturation knee). The cluster total,
+	// Offered × SatMbpsPerShard × Shards, splits evenly across each
+	// class's Shards sources wherever the router homes them.
 	Offered float64
 	// SatMbpsPerShard is the nominal per-shard capacity used to convert
 	// Offered into arrival rates (the harness calibrates it).
@@ -311,28 +312,27 @@ type OpenLoopResult struct {
 	TraceDigest uint64
 }
 
-// openLoopProgram is the per-shard arrival program state, driven entirely
-// inside the shard goroutine (one generic operation per shard). The front
-// end prepares it deterministically (session list, split RNG streams) and
-// reads the results only after the flush barrier.
+// openLoopProgram is the per-shard arrival program state for one
+// OpenLoopRunner window, driven entirely inside the shard goroutine (one
+// control operation per shard). The front end prepares it
+// deterministically (session list, split RNG streams, fixed per-source
+// means) and reads the results only after the flush barrier.
 type openLoopProgram struct {
 	sessions []*Session
 	profiles []arrivals.ClassProfile
 	rngs     []*arrivals.Rand
-	// means, when set, pins each source's inter-arrival mean directly
-	// (the OpenLoopRunner's fixed global rate split); when nil the mean
-	// is derived from the per-shard bits-per-cycle rate.
-	means  []float64
-	slot   *pendingOp
-	digest uint64
-	cycles sim.Time
-	errors int
+	means    []float64
+	slot     *pendingOp
+	digest   uint64
+	cycles   sim.Time
+	errors   int
 }
 
 // RunOpenLoop drives the open-loop class mix through a shaped cluster and
-// reports per-class loss/latency, per shard and aggregated. Every random
-// draw descends from cfg.Seed through splittable streams, so two runs are
-// bit-identical.
+// reports per-class loss/latency, per shard and aggregated. It is one
+// OpenLoopRunner window over a cluster of its own, with one source per
+// class per shard. Every random draw descends from cfg.Seed through
+// splittable streams, so two runs are bit-identical.
 func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if len(cfg.Profiles) == 0 {
 		return OpenLoopResult{}, fmt.Errorf("cluster: open-loop run needs class profiles")
@@ -353,16 +353,8 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if cfg.ClassQueueDepth <= 0 {
 		cfg.ClassQueueDepth = 32
 	}
-	procName := cfg.Process
-	if procName == "" {
-		procName = arrivals.ProcPoisson
-	}
-	// Validate user-supplied names here, where an error can be returned:
-	// past this point a bad name would surface as a panic on a shard
-	// goroutine (process) or inside qos.NewShaper (drain).
-	if _, err := arrivals.ByName(procName, 1); err != nil {
-		return OpenLoopResult{}, err
-	}
+	// Validate the drain name here, where an error can be returned: past
+	// this point a bad name would surface as a panic inside qos.NewShaper.
 	if _, err := qos.DrainByName(cfg.Drain); err != nil {
 		return OpenLoopResult{}, err
 	}
@@ -392,78 +384,31 @@ func RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	}
 	defer cl.Close()
 
-	// One session per class per shard, opened class-major so the
-	// least-loaded router spreads each wave evenly (weight 1 across the
-	// board keeps the tie-breaks session-count based).
-	bitsPerCycle := cfg.Offered * cfg.SatMbpsPerShard * 1e6 / sim.DefaultFreqHz
-	programs := make([]*openLoopProgram, cl.Shards())
-	for i := range programs {
-		programs[i] = &openLoopProgram{digest: arrivals.DigestInit}
+	// One source per class per shard, opened class-major so the
+	// least-loaded router spreads each wave evenly. The runner XORs its
+	// seed with 0x0E15C3 before splitting; cancelling that here keeps the
+	// arrival streams RunOpenLoop has always drawn from cfg.Seed^0xA881F5.
+	r, err := NewOpenLoopRunner(cl, OpenLoopRunnerConfig{
+		Process:         cfg.Process,
+		Profiles:        cfg.Profiles,
+		OfferedMbps:     cfg.Offered * cfg.SatMbpsPerShard * float64(cfg.Shards),
+		SourcesPerClass: cfg.Shards,
+		Seed:            cfg.Seed ^ 0xA881F5 ^ 0x0E15C3,
+	})
+	if err != nil {
+		return OpenLoopResult{}, err
 	}
-	root := arrivals.NewRand(cfg.Seed ^ 0xA881F5)
-	seen := map[qos.Class]bool{}
-	for _, prof := range cfg.Profiles {
-		if prof.Share <= 0 || prof.Bytes <= 0 {
-			return OpenLoopResult{}, fmt.Errorf("cluster: profile %v needs positive share and size", prof.Class)
-		}
-		// One profile per class: the rate split and the per-class Mbps
-		// aggregation both key on the class, so duplicates would silently
-		// halve rates and misattribute byte counts.
-		if seen[prof.Class] {
-			return OpenLoopResult{}, fmt.Errorf("cluster: duplicate %v profile in open-loop mix", prof.Class)
-		}
-		seen[prof.Class] = true
-		for s := 0; s < cl.Shards(); s++ {
-			suite := core.Suite{Family: prof.Family, TagLen: prof.TagLen, Priority: prof.Class.Priority()}
-			ses, err := cl.Open(OpenSpec{Suite: suite, KeyLen: prof.KeyLen})
-			if err != nil {
-				return OpenLoopResult{}, fmt.Errorf("cluster: opening %v session for shard wave %d: %w", prof.Class, s, err)
-			}
-			p := programs[ses.Shard()]
-			p.sessions = append(p.sessions, ses)
-			p.profiles = append(p.profiles, prof)
-			p.rngs = append(p.rngs, root.Split())
-		}
+	w, err := r.RunWindow(cfg.Horizon)
+	if err != nil {
+		return OpenLoopResult{}, err
 	}
-
 	res := OpenLoopResult{
+		Classes:        w.Classes,
 		PerShard:       make([][]qos.ClassStats, cl.Shards()),
-		ArrivalDigests: make([]uint64, cl.Shards()),
-		ShardCycles:    make([]sim.Time, cl.Shards()),
+		ArrivalDigests: w.ArrivalDigests,
+		ShardCycles:    w.ShardCycles,
+		Errors:         w.Errors,
 	}
-	for shardID, p := range programs {
-		if len(p.sessions) == 0 {
-			continue
-		}
-		p := p
-		slot := cl.getSlot()
-		slot.kind = opGeneric
-		slot.retain = true
-		slot.shard = shardID
-		slot.nbytes = 0
-		slot.cb = nil
-		slot.run = func(sh *shard, op *pendingOp, done func()) {
-			runOpenLoopShard(sh, p, procName, bitsPerCycle, cfg.Horizon, done)
-		}
-		// The retained slot is released after the flush below.
-		p.slot = slot
-		cl.enqueue(slot, false)
-	}
-	cl.Flush()
-	for shardID, p := range programs {
-		if p.slot != nil {
-			cl.putSlot(p.slot)
-		}
-		res.ArrivalDigests[shardID] = p.digest
-		res.ShardCycles[shardID] = p.cycles
-		res.Errors += p.errors
-	}
-
-	byClass := map[qos.Class]arrivals.ClassProfile{}
-	for _, prof := range cfg.Profiles {
-		byClass[prof.Class] = prof
-	}
-	res.Classes = cl.classCells(byClass, cfg.Horizon, nil, nil)
 	for s := range cl.shards {
 		res.PerShard[s] = cl.shards[s].shaper.AllStats()
 	}
@@ -508,7 +453,7 @@ func (c *Cluster) classCells(byClass map[qos.Class]arrivals.ClassProfile, horizo
 // goroutine: it creates one open-loop source per local session, lets them
 // emit into the shard's shaper until the horizon closes, and calls done
 // once every source has stopped and every submitted packet has a verdict.
-func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, bitsPerCycle float64, horizon sim.Time, done func()) {
+func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, horizon sim.Time, done func()) {
 	start := sh.eng.Now()
 	until := start + horizon
 	outstanding := 0
@@ -521,25 +466,12 @@ func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, bitsPerCyc
 			done()
 		}
 	}
-	// The class's per-shard rate splits evenly across its local sessions
-	// (normally exactly one per class per shard under the least-loaded
-	// router, but any router-driven grouping keeps the offered rate).
-	var perClass [qos.NumClasses]int
-	for _, prof := range p.profiles {
-		perClass[prof.Class]++
-	}
 	for i := range p.sessions {
 		ses := p.sessions[i]
 		prof := p.profiles[i]
-		var mean float64
-		if p.means != nil {
-			mean = p.means[i]
-		} else {
-			mean = prof.MeanGap(bitsPerCycle) * float64(perClass[prof.Class])
-		}
-		mk, err := arrivals.ByName(procName, mean)
+		mk, err := arrivals.ByName(procName, p.means[i])
 		if err != nil {
-			panic(err) // validated by RunOpenLoop before dispatch
+			panic(err) // validated by NewOpenLoopRunner
 		}
 		em := arrivals.NewEmitter(sh.eng, prof, uint64(i), &p.digest,
 			func(class qos.Class, nonce, payload []byte, deadline sim.Time) {

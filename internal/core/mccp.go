@@ -17,6 +17,7 @@ import (
 	"mccp/internal/keysched"
 	"mccp/internal/scheduler"
 	"mccp/internal/sim"
+	"mccp/internal/verdict"
 )
 
 // Task Scheduler instruction costs, in clock cycles. The scheduler is "a
@@ -35,14 +36,14 @@ const (
 
 // Errors returned through the 8-bit Return Register.
 var (
-	ErrNoResources = fmt.Errorf("mccp: no idle cryptographic core (error flag)")
+	ErrNoResources = verdict.ErrNoResources
 	ErrBadChannel  = fmt.Errorf("mccp: unknown or closed channel")
 	ErrNoData      = fmt.Errorf("mccp: RETRIEVE_DATA with empty done queue")
 	// ErrQueueFull is the bounded-queue verdict of the QoS extension: the
 	// request queue hit Config.MaxQueue, so the request was shed rather
 	// than queued unboundedly (distinct from ErrNoResources, the paper's
 	// error flag with queueing disabled entirely).
-	ErrQueueFull = fmt.Errorf("mccp: request queue full (load shed)")
+	ErrQueueFull = verdict.ErrQueueFull
 )
 
 // Suite is a channel's cryptographic configuration.

@@ -123,7 +123,7 @@ func TestRollingSwapVisitsEveryShard(t *testing.T) {
 	}
 	// Every shard now exposes a Whirlpool core; traffic still flows.
 	nonce := make([]byte, 12)
-	if _, err := sessions[0].Encrypt(nonce, nil, []byte("post-swap traffic")); err != nil {
+	if _, err := sessions[0].Do(cluster.Op{Nonce: nonce, Data: []byte("post-swap traffic")}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -200,7 +200,7 @@ func loadPointTraced(policy string, offered, satMbps float64, cfg LoadCurveConfi
 	})
 	var tr *obs.Tracer
 	if attach {
-		tc.Classify = func(err error) obs.Outcome { return obs.Outcome(verdict.For(err)) }
+		tc.Classify = verdict.For
 		tr = obs.NewTracer(eng, tc)
 		shaper.SetTracer(tr)
 		cc.SetTracer(tr)

@@ -10,6 +10,7 @@ import (
 	"mccp/internal/qos"
 	"mccp/internal/server"
 	"mccp/internal/sim"
+	"mccp/internal/verdict"
 )
 
 // This file is experiment E18: stage attribution. E13 reports per-class
@@ -31,7 +32,7 @@ import (
 var DefaultStagePoints = []float64{0.25, 0.5, 1.0, 1.5, 2.0}
 
 // StageCell is one class's stage decomposition at one load point,
-// computed over delivered (OutcomeOK) spans only — the same population
+// computed over delivered (verdict.OK) spans only — the same population
 // as E13's latency percentiles.
 type StageCell struct {
 	Class qos.Class
@@ -130,7 +131,7 @@ func StagePointRun(policy string, offered, satMbps float64, cfg LoadCurveConfig)
 	var stages [qos.NumClasses][obs.NumStages][]sim.Time
 	for i := range spans {
 		s := &spans[i]
-		if s.Outcome != obs.OutcomeOK {
+		if s.Outcome != verdict.OK {
 			continue
 		}
 		c := qos.Class(s.Class)

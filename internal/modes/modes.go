@@ -13,10 +13,10 @@
 package modes
 
 import (
-	"errors"
 	"fmt"
 
 	"mccp/internal/bits"
+	"mccp/internal/verdict"
 )
 
 // BlockCipher is a 128-bit block cipher in the forward (encrypt) direction.
@@ -30,7 +30,7 @@ type BlockCipher interface {
 // ErrAuth is returned when an authenticated decryption fails tag
 // verification. The MCCP reports this as the AUTH_FAIL flag of
 // RETRIEVE_DATA and flushes the output FIFO.
-var ErrAuth = errors.New("modes: message authentication failed")
+var ErrAuth = verdict.ErrAuth
 
 // CTR encrypts (or, identically, decrypts) data with counter mode starting
 // from the given initial counter block. Counters step via 32-bit increment

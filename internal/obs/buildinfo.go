@@ -42,5 +42,7 @@ func RegisterBuildInfo(r *Registry, binary string) {
 	version, revision := BuildInfo()
 	labels := fmt.Sprintf("binary=%q,version=%q,revision=%q,goversion=%q",
 		binary, version, revision, runtime.Version())
-	r.GaugeLabeled("mccp_build_info", labels).Set(1)
+	r.RegisterFunc(func(emit func(Sample)) {
+		emit(Sample{Name: "mccp_build_info", Labels: labels, Value: 1})
+	})
 }

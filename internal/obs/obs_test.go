@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"mccp/internal/sim"
+	"mccp/internal/verdict"
 )
 
 func TestRegistryGatherSortedAndPromText(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("mccp_test_packets_total")
-	g := r.Gauge("mccp_test_depth")
-	gl := r.GaugeLabeled("mccp_test_class", `class="voice"`)
-	c.Add(3)
-	c.Inc()
-	g.Set(2.5)
-	gl.Set(7)
+	r.RegisterFunc(func(emit func(Sample)) {
+		emit(Sample{Name: "mccp_test_packets_total", Value: 4})
+		emit(Sample{Name: "mccp_test_depth", Value: 2.5})
+	})
+	r.RegisterFunc(func(emit func(Sample)) {
+		emit(Sample{Name: "mccp_test_class", Labels: `class="voice"`, Value: 7})
+	})
 
 	samples := r.Gather()
 	if len(samples) != 3 {
@@ -72,7 +73,7 @@ func TestTracerSamplingDeterministic(t *testing.T) {
 		tr := NewTracer(eng, TraceConfig{Enabled: true, Sample: 0.5, Seed: 99})
 		for i := 0; i < 256; i++ {
 			ref := tr.Start(uint8(i%4), 64)
-			tr.End(ref, OutcomeOK)
+			tr.End(ref, verdict.OK)
 		}
 		ids := make([]uint64, 0, len(tr.Spans()))
 		for _, sp := range tr.Spans() {
@@ -112,7 +113,7 @@ func TestTracerDisabledAndNilAreInert(t *testing.T) {
 			t.Errorf("Start = %d, want NoSpan", ref)
 		}
 		tr.MarkNow(ref, MarkDispatch)
-		tr.End(ref, OutcomeOK)
+		tr.End(ref, verdict.OK)
 		tr.SetPending(ref)
 		if got := tr.TakePending(); got != NoSpan {
 			t.Errorf("TakePending = %d, want NoSpan", got)
@@ -217,7 +218,7 @@ func TestRecorderSpanHookAndFormat(t *testing.T) {
 	tr := NewTracer(eng, TraceConfig{Enabled: true, OnEnd: rec.RecordSpan})
 	ref := tr.Start(1, 256)
 	tr.MarkNow(ref, MarkDispatch)
-	tr.End(ref, OutcomeOK)
+	tr.End(ref, verdict.OK)
 	rec.Freeze("quarantine", eng.Now())
 	dumps := rec.Dumps()
 	if len(dumps) != 1 || len(dumps[0].Records) != 1 {
@@ -235,7 +236,7 @@ func TestRecorderSpanHookAndFormat(t *testing.T) {
 }
 
 func TestSpanExports(t *testing.T) {
-	sp := Span{ID: 7, Tag: 2, Class: 1, Bytes: 512, Start: 10, End: 110, Outcome: OutcomeOK, HostNs: 42}
+	sp := Span{ID: 7, Tag: 2, Class: 1, Bytes: 512, Start: 10, End: 110, Outcome: verdict.OK, HostNs: 42}
 	sp.Marks = [4]sim.Time{20, 30, 60, 100}
 	sp.Reached = 0b1111
 

@@ -9,44 +9,13 @@ import (
 	"sync/atomic"
 )
 
-// This file is the metrics registry: typed counters/gauges/histograms
-// with lock-free hot-path updates, plus pull collectors that bridge the
+// This file is the metrics registry: fixed-bucket histograms with
+// lock-free hot-path updates, plus pull collectors that bridge the
 // stack's existing counter structs (cluster snapshots, shaper stats,
 // server wire totals) into the same read path. Everything that renders
 // metrics — the Prometheus text endpoint, the STATS wire op, the CLI
 // report — goes through Gather, so there is exactly one exposition
 // format and one naming scheme.
-
-// Counter is a monotonically increasing metric with atomic updates.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load reads the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is a settable metric (float64, stored as bits for atomicity).
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; rare path).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Load reads the current value.
-func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram: upper bounds are set at
 // registration, updates are a linear probe plus atomic increments — no
@@ -85,10 +54,9 @@ type Sample struct {
 	Value  float64
 }
 
-// Registry holds metric collectors. Native instruments (Counter, Gauge,
-// Histogram) register an emitting closure at creation; existing counter
-// structs elsewhere in the stack join via RegisterFunc without changing
-// their hot paths.
+// Registry holds metric collectors. A Histogram registers an emitting
+// closure at creation; existing counter structs elsewhere in the stack
+// join via RegisterFunc without changing their hot paths.
 type Registry struct {
 	mu         sync.Mutex
 	collectors []func(emit func(Sample))
@@ -105,33 +73,6 @@ func (r *Registry) RegisterFunc(fn func(emit func(Sample))) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, fn)
 	r.mu.Unlock()
-}
-
-// Counter creates and registers a counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.RegisterFunc(func(emit func(Sample)) {
-		emit(Sample{Name: name, Value: float64(c.Load())})
-	})
-	return c
-}
-
-// Gauge creates and registers a gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.RegisterFunc(func(emit func(Sample)) {
-		emit(Sample{Name: name, Value: g.Load()})
-	})
-	return g
-}
-
-// GaugeLabeled creates and registers a gauge carrying a fixed label body.
-func (r *Registry) GaugeLabeled(name, labels string) *Gauge {
-	g := &Gauge{}
-	r.RegisterFunc(func(emit func(Sample)) {
-		emit(Sample{Name: name, Labels: labels, Value: g.Load()})
-	})
-	return g
 }
 
 // Histogram creates and registers a fixed-bucket histogram; bounds are

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mccp/internal/sim"
+	"mccp/internal/verdict"
 )
 
 // Stage is one segment of a packet's lifecycle. The five stages tile the
@@ -72,33 +73,6 @@ const (
 	numMarks = int(MarkRetrieve) + 1
 )
 
-// Outcome classifies how a span ended. The numeric values mirror
-// internal/verdict's order (OK..Failed) so layers above qos can classify
-// with a single cast; obs cannot import verdict itself (verdict sits
-// above qos in the import graph).
-type Outcome uint8
-
-const (
-	OutcomeOK Outcome = iota
-	OutcomeRejected
-	OutcomeShed
-	OutcomeExpired
-	OutcomeAged
-	OutcomeAuthFail
-	OutcomeFailed
-
-	NumOutcomes = int(OutcomeFailed) + 1
-)
-
-var outcomeNames = [NumOutcomes]string{"ok", "rejected", "shed", "expired", "aged", "auth-fail", "failed"}
-
-func (o Outcome) String() string {
-	if int(o) >= NumOutcomes {
-		return "invalid"
-	}
-	return outcomeNames[o]
-}
-
 // Span is one packet's lifecycle record. All times are virtual (the
 // owning shard's cycles), so a traced run replays bit-identically;
 // HostNs is the wall clock at span start and is the one nondeterministic
@@ -121,7 +95,7 @@ type Span struct {
 	Marks   [numMarks]sim.Time
 	Reached uint8
 	End     sim.Time
-	Outcome Outcome
+	Outcome verdict.Verdict
 	// HostNs is the host wall clock (UnixNano) at span start.
 	HostNs int64
 }
@@ -175,10 +149,10 @@ type TraceConfig struct {
 	Seed uint64
 	// Tag stamps every span (the shard ID in a cluster).
 	Tag int32
-	// Classify maps a completion error to an Outcome. Layers that know
-	// the whole verdict taxonomy install a wrapper around verdict.For;
-	// nil falls back to OK/Failed.
-	Classify func(error) Outcome
+	// Classify maps a completion error to a span outcome (layers that
+	// know the whole verdict taxonomy install verdict.For); nil falls back
+	// to OK/Failed.
+	Classify func(error) verdict.Verdict
 	// OnEnd, when set, observes every span at End (the flight recorder's
 	// hook). The span is owned by the tracer; implementations must copy
 	// if they retain it past the call.
@@ -257,7 +231,7 @@ func (t *Tracer) MarkNow(ref SpanRef, m Mark) {
 
 // End closes a span with an outcome at the current virtual time and
 // delivers it to the OnEnd hook.
-func (t *Tracer) End(ref SpanRef, o Outcome) {
+func (t *Tracer) End(ref SpanRef, o verdict.Verdict) {
 	if t == nil || ref < 0 {
 		return
 	}
@@ -275,12 +249,12 @@ func (t *Tracer) EndErr(ref SpanRef, err error) {
 	if t == nil || ref < 0 {
 		return
 	}
-	o := OutcomeOK
+	o := verdict.OK
 	switch {
 	case t.cfg.Classify != nil:
 		o = t.cfg.Classify(err)
 	case err != nil:
-		o = OutcomeFailed
+		o = verdict.Failed
 	}
 	t.End(ref, o)
 }

@@ -1,33 +1,33 @@
 package qos
 
 import (
-	"fmt"
 	"sort"
 
 	"mccp/internal/core"
 	"mccp/internal/obs"
 	"mccp/internal/sim"
+	"mccp/internal/verdict"
 )
 
 // ErrShed is returned to a packet dropped by the admission controller:
 // its class queue was full, so instead of the paper's bare error flag the
 // caller gets an explicit load-shedding verdict (and the per-class Shed
 // counter ticks).
-var ErrShed = fmt.Errorf("qos: class queue full (load shed)")
+var ErrShed = verdict.ErrShed
 
 // ErrExpired is returned to a packet whose deadline passed while it was
 // still queued: the shaper drops it at dispatch time instead of wasting
 // device capacity on work nobody can use. Expired drops count under the
 // class's Shed total (they are load shedding, decided by age instead of
 // queue depth) and separately under Expired.
-var ErrExpired = fmt.Errorf("qos: deadline expired before dispatch (dropped)")
+var ErrExpired = verdict.ErrExpired
 
 // ErrAged is returned to a packet that sat in its class queue longer than
 // the shaper's AgeLimit: the CoDel-style in-queue aging drops stale
 // packets (typically bulk traffic with no explicit deadline) before they
 // reach the device, instead of serving data nobody is waiting for
 // anymore. Aged drops count under Shed plus the dedicated Aged counter.
-var ErrAged = fmt.Errorf("qos: queue age limit exceeded (dropped stale packet)")
+var ErrAged = verdict.ErrAged
 
 // Target is the device-facing surface the shaper drives — in practice
 // radio.CommController, but any packet engine with the same asynchronous

@@ -5,6 +5,7 @@ import (
 
 	"mccp/internal/obs"
 	"mccp/internal/sim"
+	"mccp/internal/verdict"
 )
 
 // shaperAllocs measures allocations for one submit-and-drain round trip
@@ -71,7 +72,7 @@ func TestTracerSpansMatchShaperVerdicts(t *testing.T) {
 	}
 	for i := range spans {
 		sp := &spans[i]
-		if sp.Outcome != obs.OutcomeOK {
+		if sp.Outcome != verdict.OK {
 			t.Errorf("span %d outcome %v, want ok", sp.ID, sp.Outcome)
 			continue
 		}

@@ -137,6 +137,33 @@ func checkTagLen(f cryptocore.Family, n int) error {
 	return fmt.Errorf("%w: %v with a %d-byte tag", ErrBadTagLen, f, n)
 }
 
+// ErrBadFrame reports a request the channel's mode cannot frame: AAD or
+// payload beyond the packet FIFO, a DECRYPT tag whose length is not the
+// suite's, or a CBC-MAC message that is not whole blocks. Like
+// ErrBadNonce it is raised before the device assigns cores; the returned
+// error wraps it with the mode and the offending field.
+var ErrBadFrame = errors.New("radio: request cannot be framed for the channel's mode")
+
+// checkFrame rejects every request streamsFor would fail to frame, so a
+// request that has claimed cores always reaches the crossbar: a framing
+// error after dev.Submit would leave its cores claimed for good.
+func checkFrame(s core.Suite, encrypt bool, aad, payload, tag []byte) error {
+	var why string
+	switch {
+	case len(aad) > MaxPayload:
+		why = fmt.Sprintf("%d-byte AAD exceeds the %d-byte packet FIFO", len(aad), MaxPayload)
+	case len(payload) > MaxPayload:
+		why = fmt.Sprintf("%d-byte payload exceeds the %d-byte packet FIFO", len(payload), MaxPayload)
+	case !encrypt && (s.Family == cryptocore.FamilyGCM || s.Family == cryptocore.FamilyCCM) && len(tag) != s.TagLen:
+		why = fmt.Sprintf("%d-byte tag on a %d-byte-tag channel", len(tag), s.TagLen)
+	case s.Family == cryptocore.FamilyCBCMAC && len(payload)%16 != 0:
+		why = fmt.Sprintf("%d-byte message that is not whole blocks", len(payload))
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: %v with a %s", ErrBadFrame, s.Family, why)
+}
+
 // nopErr absorbs protocol acknowledgements nobody waits on.
 var nopErr = func(error) {}
 
@@ -241,7 +268,11 @@ func (cc *CommController) submit(ch int, encrypt bool, nonce, aad, payload, tag 
 		cb(nil, fmt.Errorf("radio: channel %d not open on this controller", ch))
 		return
 	}
-	if err := checkNonce(s.Family, len(nonce)); err != nil {
+	err := checkNonce(s.Family, len(nonce))
+	if err == nil {
+		err = checkFrame(s, encrypt, aad, payload, tag)
+	}
+	if err != nil {
 		cb(nil, err)
 		return
 	}
@@ -251,6 +282,8 @@ func (cc *CommController) submit(ch int, encrypt bool, nonce, aad, payload, tag 
 			return
 		}
 		cc.tr.MarkNow(span, obs.MarkAssign)
+		// checkFrame vetted every framing error before the claim, so this
+		// branch is unreachable.
 		streams, nstreams, err := cc.streamsFor(a, s, encrypt, nonce, aad, payload, tag)
 		if err != nil {
 			cb(nil, err)
@@ -316,9 +349,6 @@ func (cc *CommController) streamsFor(a core.Assignment, s core.Suite, encrypt bo
 		f, err := FrameCTR(icb, payload)
 		return one(f, err)
 	case firmware.ModeCBCMAC:
-		if len(payload)%16 != 0 {
-			return streams, 0, fmt.Errorf("radio: CBC-MAC needs whole blocks")
-		}
 		f, err := FrameCBCMAC(bits.AppendPadBlocks(bufpool.Blocks(len(payload)/16), payload))
 		return one(f, err)
 	case firmware.ModeHash:

@@ -479,3 +479,57 @@ func TestBadTagLenRefusedAtOpen(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFrameRefusedBeforeDispatch is the regression test for a remote
+// denial of service: an AAD beyond the packet FIFO or a DECRYPT tag whose
+// length is not the suite's used to fail in streamsFor after dev.Submit
+// had claimed the cores, and the claim was never released. Two such
+// requests disabled this two-core device for good. Each must return
+// ErrBadFrame before any core is claimed, and a well-formed packet must
+// still go through afterwards.
+func TestBadFrameRefusedBeforeDispatch(t *testing.T) {
+	gcm := core.Suite{Family: cryptocore.FamilyGCM, TagLen: 16}
+	ccm := core.Suite{Family: cryptocore.FamilyCCM, TagLen: 8}
+	cases := []struct {
+		name    string
+		suite   core.Suite
+		encrypt bool
+		nonce   int
+		aad     int
+		payload int
+		tag     int
+	}{
+		{"GCM encrypt, 2049-byte AAD", gcm, true, 12, 2049, 64, 0},
+		{"GCM decrypt, 2049-byte AAD", gcm, false, 12, 2049, 64, 16},
+		{"CCM encrypt, 2049-byte AAD", ccm, true, 13, 2049, 64, 0},
+		{"CCM decrypt, 2049-byte AAD", ccm, false, 13, 2049, 64, 8},
+		{"CCM decrypt, 16-byte tag on a tag-8 suite", ccm, false, 13, 0, 64, 16},
+		{"GCM decrypt, 20-byte tag", gcm, false, 12, 0, 64, 20},
+		{"GCM decrypt, 8-byte tag on a tag-16 suite", gcm, false, 12, 0, 64, 8},
+		{"GCM encrypt, 2049-byte payload", gcm, true, 12, 0, 2049, 0},
+		{"CBC-MAC, partial block", core.Suite{Family: cryptocore.FamilyCBCMAC}, true, 0, 0, 20, 0},
+	}
+	for _, c := range cases {
+		r := newRig(core.Config{Cores: 2})
+		ch, _ := r.open(t, c.suite, 16)
+		for i := 0; i < 2; i++ {
+			var err error
+			done := false
+			cb := func(_ []byte, e error) { err, done = e, true }
+			nonce, aad, payload := make([]byte, c.nonce), make([]byte, c.aad), make([]byte, c.payload)
+			if c.encrypt {
+				r.cc.Encrypt(ch, nonce, aad, payload, cb)
+			} else {
+				r.cc.Decrypt(ch, nonce, aad, payload, make([]byte, c.tag), cb)
+			}
+			r.eng.Run()
+			if !done || !errors.Is(err, radio.ErrBadFrame) {
+				t.Fatalf("%s: done=%v err=%v, want ErrBadFrame", c.name, done, err)
+			}
+		}
+		if c.suite.Family == cryptocore.FamilyCBCMAC {
+			continue // no nonce-bearing encrypt to retry on this channel
+		}
+		r.encrypt(t, ch, make([]byte, c.nonce), nil, make([]byte, 64))
+	}
+}

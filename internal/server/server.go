@@ -1124,11 +1124,11 @@ func (s *Server) handlePacket(req *request) {
 			ServiceNs: uint64(now - req.flushAt)}
 		s.respond(req.conn, encodePacketResp(req.op, req.reqID, st, t, out))
 	}
-	if req.op == OpEncrypt {
-		ws.ses.EncryptWireAsync(req.nonce, req.aad, req.data, ws.deadline, done)
-	} else {
-		ws.ses.DecryptWireAsync(req.nonce, req.aad, req.data, req.tag, done)
+	op := cluster.Op{Nonce: req.nonce, AAD: req.aad, Data: req.data, Tag: req.tag, Deadline: ws.deadline}
+	if req.op == OpDecrypt {
+		op.Kind = cluster.OpDecrypt
 	}
+	ws.ses.Submit(op, done)
 	if s.pendingOps >= s.cfg.BatchOps {
 		s.flush()
 	}

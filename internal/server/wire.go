@@ -128,7 +128,7 @@ func (s Status) String() string {
 // sync with the cluster's counters). The exception is a request the
 // radio refused as unframeable, which the client sent malformed.
 func statusFor(err error) Status {
-	if errors.Is(err, radio.ErrBadNonce) || errors.Is(err, radio.ErrBadTagLen) {
+	if errors.Is(err, radio.ErrBadNonce) || errors.Is(err, radio.ErrBadTagLen) || errors.Is(err, radio.ErrBadFrame) {
 		return StatusBadRequest
 	}
 	return Status(verdict.For(err))

@@ -1,22 +1,34 @@
-// Package verdict defines the one classification of per-packet outcomes
-// the whole stack shares. Every layer used to keep its own mapping from
-// the sentinel errors (core.ErrNoResources, qos.ErrShed, ...) to a small
-// integer — the cluster's verdict counters and the server's wire protocol
-// statuses were two parallel switch statements that had to agree by
-// convention. This package is that agreement, written once: a typed
-// Verdict whose numeric values ARE the cluster counter indices and the
-// low protocol status codes, a single For(err) classifier, and Err() to
-// recover the canonical sentinel for a verdict.
+// Package verdict is the one classification of per-packet outcomes the
+// whole stack shares, and the home of the sentinel errors it classifies.
+// It is a leaf: it imports nothing from the stack, so every layer —
+// core, qos, radio, obs, cluster, server — can use the same Verdict. The
+// cluster's verdict counters, the server's wire statuses and the trace
+// spans' outcomes are all this one type.
 //
-// The sentinel error values themselves stay where they always lived
-// (core, qos, radio) so existing == and errors.Is comparisons keep
-// working; this package only centralizes the classification.
+// The sentinels are declared here and re-exported under their
+// long-standing names (core.ErrNoResources, qos.ErrShed, radio.ErrAuth,
+// ...) with unchanged error strings, so existing == and errors.Is
+// comparisons keep working.
 package verdict
 
-import (
-	"mccp/internal/core"
-	"mccp/internal/qos"
-	"mccp/internal/radio"
+import "errors"
+
+// The sentinel errors For classifies.
+var (
+	// ErrNoResources is the paper's error flag: no idle cryptographic core
+	// (core.ErrNoResources).
+	ErrNoResources = errors.New("mccp: no idle cryptographic core (error flag)")
+	// ErrQueueFull is the bounded device request queue's shed verdict
+	// (core.ErrQueueFull).
+	ErrQueueFull = errors.New("mccp: request queue full (load shed)")
+	// ErrShed is QoS admission at a full class queue (qos.ErrShed).
+	ErrShed = errors.New("qos: class queue full (load shed)")
+	// ErrExpired is a deadline that passed while queued (qos.ErrExpired).
+	ErrExpired = errors.New("qos: deadline expired before dispatch (dropped)")
+	// ErrAged is CoDel-style in-queue aging (qos.ErrAged).
+	ErrAged = errors.New("qos: queue age limit exceeded (dropped stale packet)")
+	// ErrAuth is a failed tag verification (modes.ErrAuth, radio.ErrAuth).
+	ErrAuth = errors.New("modes: message authentication failed")
 )
 
 // Verdict classifies the outcome of one packet operation. The numeric
@@ -55,15 +67,15 @@ func For(err error) Verdict {
 	switch err {
 	case nil:
 		return OK
-	case core.ErrNoResources:
+	case ErrNoResources:
 		return Rejected
-	case qos.ErrShed, core.ErrQueueFull:
+	case ErrShed, ErrQueueFull:
 		return Shed
-	case qos.ErrExpired:
+	case ErrExpired:
 		return Expired
-	case qos.ErrAged:
+	case ErrAged:
 		return Aged
-	case radio.ErrAuth:
+	case ErrAuth:
 		return AuthFail
 	}
 	return Failed
@@ -79,34 +91,26 @@ func (v Verdict) String() string {
 	return names[v]
 }
 
-// Err returns the canonical sentinel error for the verdict: the exact
-// error value the stack raises for that outcome, so errors.Is and ==
-// comparisons against the long-standing sentinels keep working. OK maps
-// to nil; Shed maps to qos.ErrShed (the admission-control sentinel —
-// core.ErrQueueFull classifies to the same verdict but is not the
-// canonical representative); Failed maps to radio.ErrBadParam's generic
-// cousin, a nil-free placeholder is not useful, so Failed returns a
-// distinct generic error value.
+// Err returns the canonical sentinel error for the verdict, so errors.Is
+// and == comparisons against the sentinels keep working. OK maps to nil;
+// Shed maps to ErrShed (ErrQueueFull classifies the same but is not the
+// canonical representative); Failed maps to a distinct generic error.
 func (v Verdict) Err() error {
 	switch v {
 	case OK:
 		return nil
 	case Rejected:
-		return core.ErrNoResources
+		return ErrNoResources
 	case Shed:
-		return qos.ErrShed
+		return ErrShed
 	case Expired:
-		return qos.ErrExpired
+		return ErrExpired
 	case Aged:
-		return qos.ErrAged
+		return ErrAged
 	case AuthFail:
-		return radio.ErrAuth
+		return ErrAuth
 	}
 	return errFailed
 }
 
-type failedError struct{}
-
-func (failedError) Error() string { return "verdict: operation failed" }
-
-var errFailed error = failedError{}
+var errFailed = errors.New("verdict: operation failed")

@@ -77,5 +77,11 @@ func (e *Engine) ReadChunk() bits.Block {
 	var b bits.Block
 	copy(b[:], e.out[16*e.outIdx:16*e.outIdx+16])
 	e.outIdx = (e.outIdx + 1) % 4
+	if e.outIdx == 0 {
+		// The digest is fully read out: the next absorbed chunk starts a
+		// new message from H_0.
+		e.h = state{}
+		e.buf = e.buf[:0]
+	}
 	return b
 }

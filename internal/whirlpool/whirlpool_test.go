@@ -1,9 +1,12 @@
 package whirlpool
 
 import (
+	"bytes"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
+
+	"mccp/internal/bits"
 )
 
 // ISO test vectors (the "final" Whirlpool, as shipped in the reference
@@ -95,5 +98,29 @@ func BenchmarkSum2KB(b *testing.B) {
 	b.SetBytes(2048)
 	for i := 0; i < b.N; i++ {
 		Sum(msg)
+	}
+}
+
+// TestEngineBackToBackMessages: the engine hashes consecutive messages
+// independently. Each digest readout ends its message, so the next
+// message starts from H_0 rather than chaining on its predecessor.
+func TestEngineBackToBackMessages(t *testing.T) {
+	e := NewEngine()
+	for _, msg := range [][]byte{[]byte("first message"), []byte("second"), make([]byte, 100)} {
+		padded := PadMessage(msg)
+		now := uint64(0)
+		for i := 0; i < len(padded); i += 16 {
+			var chunk bits.Block
+			copy(chunk[:], padded[i:i+16])
+			now = e.Start(now, chunk)
+		}
+		var got []byte
+		for i := 0; i < 4; i++ {
+			b := e.ReadChunk()
+			got = append(got, b[:]...)
+		}
+		if want := Sum(msg); !bytes.Equal(got, want[:]) {
+			t.Fatalf("digest of %q:\n got %x\nwant %x", msg, got, want)
+		}
 	}
 }

@@ -387,8 +387,25 @@ type Cluster = cluster.Cluster
 type ClusterConfig = cluster.Config
 
 // ClusterSession is a cluster-level channel, homed on one shard and
-// transparently re-homed by Rebalance.
+// transparently re-homed by Rebalance. Its one packet entry point is
+// Submit(ClusterOp, cb); Do is the synchronous form (Submit, then Flush).
 type ClusterSession = cluster.Session
+
+// ClusterOp is one packet operation on a ClusterSession: its kind
+// (OpEncrypt, OpDecrypt or OpHash), nonce, AAD, data, tag and an optional
+// relative deadline.
+type ClusterOp = cluster.Op
+
+// Cycles is a virtual-time span in device clock cycles, as
+// ClusterSession.Submit reports each operation's shard-side latency.
+type Cycles = sim.Time
+
+// ClusterOp kinds.
+const (
+	OpEncrypt = cluster.OpEncrypt
+	OpDecrypt = cluster.OpDecrypt
+	OpHash    = cluster.OpHash
+)
 
 // ClusterOpenSpec parameterizes Cluster.Open.
 type ClusterOpenSpec = cluster.OpenSpec

@@ -217,14 +217,14 @@ func TestPublicAPICluster(t *testing.T) {
 	}
 	nonce12, nonce13 := make([]byte, 12), make([]byte, 13)
 	payload := []byte("served by the shard layer")
-	s1, err := a.Encrypt(nonce12, nil, payload)
+	s1, err := a.Do(mccp.ClusterOp{Nonce: nonce12, Data: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Encrypt(nonce13, nil, payload); err != nil {
+	if _, err := b.Do(mccp.ClusterOp{Nonce: nonce13, Data: payload}); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := a.Decrypt(nonce12, nil, s1[:len(payload)], s1[len(payload):])
+	plain, err := a.Do(mccp.ClusterOp{Kind: mccp.OpDecrypt, Nonce: nonce12, Data: s1[:len(payload)], Tag: s1[len(payload):]})
 	if err != nil || !bytes.Equal(plain, payload) {
 		t.Fatalf("cluster roundtrip: %v", err)
 	}
@@ -441,7 +441,7 @@ func TestNewFleetElasticOps(t *testing.T) {
 	if err != nil || took == 0 {
 		t.Fatalf("swap: %v took %d", err, took)
 	}
-	if _, err := ses.Encrypt(make([]byte, 12), nil, []byte("post-swap")); err != nil {
+	if _, err := ses.Do(mccp.ClusterOp{Nonce: make([]byte, 12), Data: []byte("post-swap")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mccp.NewFleet(mccp.WithPolicy("best-effort")); err == nil {
