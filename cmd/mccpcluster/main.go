@@ -17,8 +17,10 @@
 //	mccpcluster -faults crashes=1 -offered 0.9
 //	                                    # fault drill: a seeded schedule
 //	                                    # crashes shards mid-window; the
-//	                                    # detector quarantines, re-homes
-//	                                    # voice-first and browns out
+//	                                    # fleet supervisor quarantines,
+//	                                    # re-homes voice-first and browns out
+//	mccpcluster -heal -restart-src icap # ... then restarts the corpse and
+//	                                    # lifts the brownout class by class
 package main
 
 import (
@@ -95,7 +97,7 @@ func main() {
 	horizon := flag.Uint64("horizon", 1000000, "open-loop measurement window in cycles per shard")
 	faultsSpec := flag.String("faults", "", "fault drill: schedule spec crashes=N[,stalls=N][,window=K] — seeded shard faults applied to an open-loop run (churn is the load generator's side: mccploadgen -churn)")
 	windows := flag.Int("windows", 12, "measurement windows for the fault drill")
-	heal := flag.Bool("heal", false, "self-healing drill: crash one shard under open-loop load, fail over and brown out, then restart it from -restart-src, rebalance voice-first back and lift the brownout (composes with -offered/-windows/-horizon/-seed)")
+	heal := flag.Bool("heal", false, "self-healing drill: the fault drill (default -faults crashes=1) with restarts from -restart-src — each corpse is rebuilt, rebalanced voice-first back and the brownout lifted one class per window (composes with -offered/-windows/-horizon/-seed)")
 	restartSrc := flag.String("restart-src", "icap", "bitstream source for -heal restarts: compact-flash, ram, icap (icap is the only source whose full-shard reload fits a few default windows; ram needs ~49, compact-flash ~290)")
 	flag.BoolVar(&withMetrics, "metrics", false, "append the metrics-registry exposition to the exit report")
 	traceOut := flag.String("trace-out", "", "open-loop mode: write lifecycle spans to this file (CSV; JSONL with a .jsonl suffix)")
@@ -145,18 +147,17 @@ func main() {
 		log.Fatalf("-weights: %v", err)
 	}
 
-	if *heal {
-		src, err := reconfig.SourceByName(*restartSrc)
-		if err != nil {
-			log.Fatalf("-restart-src: %v", err)
+	if *heal || *faultsSpec != "" {
+		spec, src := *faultsSpec, reconfig.Source{}
+		if *heal {
+			if spec == "" {
+				spec = "crashes=1"
+			}
+			if src, err = reconfig.SourceByName(*restartSrc); err != nil {
+				log.Fatalf("-restart-src: %v", err)
+			}
 		}
-		runHeal(*shards, *cores, *router, *policy,
-			*offered, *windows, sim.Time(*horizon), uint64(*seed), src)
-		return
-	}
-
-	if *faultsSpec != "" {
-		runFaults(*faultsSpec, *shards, *cores, *router, *policy,
+		runDrill(spec, src, *shards, *cores, *router, *policy,
 			*offered, *windows, sim.Time(*horizon), uint64(*seed))
 		return
 	}
@@ -261,7 +262,7 @@ func parseWeights(s string) (qos.Weights, error) {
 func runOpenLoop(shards, cores int, router, policy, proc, drain string,
 	weights qos.Weights, offered float64, horizon, seed uint64,
 	traceOut string, traceSample float64) {
-	sat := harness.SaturationMbps(harness.LoadMix, 8)
+	sat := harness.SaturationMbps(harness.LoadMix)
 	if cores > 0 && cores != 4 {
 		// The calibration runs on the paper's 4-core device; per-core
 		// throughput is flat across the 4x1 mapping, so scale linearly to
@@ -363,12 +364,14 @@ func parseFaultSpec(spec string, shards, windows int, windowCycles sim.Time, see
 	return cfg, nil
 }
 
-// runFaults is the fault drill: a seeded schedule crashes and stalls
-// shards mid-window under open-loop load; a heartbeat detector
-// quarantines each corpse at the next window boundary, re-homes its
-// sessions voice-first, and browns out low classes while capacity is
-// down. Every number printed is deterministic in (flags, seed).
-func runFaults(spec string, shards, cores int, router, policy string,
+// runDrill is the fault drill: a seeded schedule crashes and stalls
+// shards mid-window under open-loop load, and the fleet supervisor runs
+// at every window boundary — it fails each corpse over voice-first and
+// browns out low classes while capacity is down, and with a restart
+// source (-heal) it rebuilds the shard, rebalances voice-first back and
+// lifts the brownout one class per boundary. Every number printed is
+// deterministic in (flags, seed).
+func runDrill(spec string, src reconfig.Source, shards, cores int, router, policy string,
 	offered float64, windows int, windowCycles sim.Time, seed uint64) {
 	planCfg, err := parseFaultSpec(spec, shards, windows, windowCycles, seed)
 	if err != nil {
@@ -378,7 +381,7 @@ func runFaults(spec string, shards, cores int, router, policy string,
 	if err != nil {
 		log.Fatalf("-faults: %v", err)
 	}
-	satPerShard := harness.SaturationMbps(harness.LoadMix, 8)
+	satPerShard := harness.SaturationMbps(harness.LoadMix)
 	if cores > 0 && cores != 4 {
 		satPerShard *= float64(cores) / 4
 	}
@@ -411,67 +414,56 @@ func runFaults(spec string, shards, cores int, router, policy string,
 		log.Fatal(err)
 	}
 	defer runner.Close()
+	sup := fleet.NewSupervisor(cl, fleet.Policy{
+		Schedule:        sched,
+		OfferedMbps:     offeredMbps,
+		SatMbpsPerShard: satPerShard,
+		Shares:          shares,
+		RestartSource:   src,
+		WindowCycles:    windowCycles,
+	})
 
 	fmt.Printf("fault drill: %d shards x %d cores at %.2fx saturation (%.0f Mbps), %d windows x %d cycles\n",
 		shards, cores, offered, offeredMbps, windows, windowCycles)
-	fmt.Printf("schedule (seed %d): %s\n", seed, sched)
-	fmt.Printf("%-8s %10s %10s %8s %s\n", "window", "del Mbps", "voice del%", "errors", "events")
-	lastHB := make([]uint64, shards)
+	fmt.Printf("schedule (seed %d): %s", seed, sched)
+	if src.BytesPerSec > 0 {
+		fmt.Printf("; restart from %s takes %d cycles (%d windows)",
+			src.Name, cluster.RestartCycles(cl.CoresPerShard(), src), sup.RestartWindows())
+	}
+	fmt.Printf("\n%-8s %10s %10s %8s %s\n", "window", "del Mbps", "voice del%", "errors", "events")
 	for w := 0; w < windows; w++ {
+		// The supervisor armed this window's faults at the boundary that
+		// started it; its events below ran at the boundary ending it.
 		var notes []string
 		for _, e := range sched.ForWindow(w) {
-			switch e.Kind {
-			case faults.ShardCrash:
-				if err := cl.ArmShardCrash(e.Shard, cl.NextHeartbeat(e.Shard), e.Offset); err != nil {
-					log.Fatal(err)
-				}
-			case faults.ShardStall:
-				if err := cl.ArmShardStall(e.Shard, cl.NextHeartbeat(e.Shard), e.Offset, e.Dur); err != nil {
-					log.Fatal(err)
-				}
-			}
 			notes = append(notes, e.String())
-		}
-		for i := 0; i < shards; i++ {
-			lastHB[i] = cl.NextHeartbeat(i)
 		}
 		win, err := runner.RunWindow(windowCycles)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Heartbeat detector: a shard whose counter froze across a served
-		// window is dead — quarantine and re-home, then brown out to the
-		// surviving capacity.
-		for i := 0; i < shards; i++ {
-			if cl.QuarantinedShard(i) || cl.NextHeartbeat(i) != lastHB[i] {
-				continue
-			}
-			rep, err := cl.FailOver(i)
-			if err != nil {
-				notes = append(notes, fmt.Sprintf("shard %d down, fail-over refused: %v", i, err))
-				continue
-			}
+		rehomes, heals := sup.Boundary()
+		for _, ev := range rehomes {
 			notes = append(notes, fmt.Sprintf("shard %d down: re-homed %d (voice first), lost %d, %d cycles",
-				i, rep.Moved, rep.Lost, rep.Took))
-			healthy := 0
-			for j := 0; j < shards; j++ {
-				if !cl.QuarantinedShard(j) {
-					healthy++
-				}
+				ev.Shard, ev.Moved, ev.Lost, ev.Took))
+			if shed := deniedClasses(ev.Deny); shed != "" {
+				notes = append(notes, "brownout: shedding "+shed)
 			}
-			deny := faults.BrownoutDeny(offeredMbps, float64(healthy)*satPerShard, shares)
-			if err := cl.ApplyDeny(deny); err != nil {
-				log.Fatal(err)
+		}
+		for _, ev := range heals {
+			if ev.Restarted {
+				// The rebuilt shard's shaper counters start from zero:
+				// re-base the runner's per-window deltas on them.
+				runner.Resnapshot()
+				notes = append(notes, fmt.Sprintf("shard %d restarted from %s in %d cycles: rejoined, %d sessions back",
+					ev.Shard, src.Name, ev.RestartCycles, ev.Rebalanced))
+				continue
 			}
-			var shed []string
-			for _, class := range qos.Classes() {
-				if deny[class] {
-					shed = append(shed, class.String())
-				}
+			lift := "brownout lifted"
+			if shed := deniedClasses(ev.Deny); shed != "" {
+				lift = "brownout eased: shedding " + shed
 			}
-			if len(shed) > 0 {
-				notes = append(notes, "brownout: shedding "+strings.Join(shed, ", "))
-			}
+			notes = append(notes, lift)
 		}
 		voice := 100.0
 		if v := win.Classes.Cell(qos.Voice); v.Submitted > 0 {
@@ -483,148 +475,15 @@ func runFaults(spec string, shards, cores int, router, policy string,
 	exitReport(cl)
 }
 
-// runHeal is the self-healing drill: one seeded crash under open-loop
-// load, the fault side handled exactly as runFaults (fail-over
-// voice-first, brownout to the surviving capacity), and then the
-// recovery side the fault drill leaves open — the corpse is rebuilt by
-// streaming the base bitstream back in from src, rejoined, reloaded
-// voice-first with RebalanceInto, and the brownout lifted once capacity
-// is back. Every number printed is deterministic in (flags, seed).
-func runHeal(shards, cores int, router, policy string,
-	offered float64, windows int, windowCycles sim.Time, seed uint64, src reconfig.Source) {
-	sched, err := faults.Plan(faults.PlanConfig{
-		Seed:         seed,
-		Shards:       shards,
-		Windows:      windows,
-		Crashes:      1,
-		FaultWindow:  windows / 3,
-		WindowCycles: windowCycles,
-	})
-	if err != nil {
-		log.Fatalf("-heal: %v", err)
-	}
-	satPerShard := harness.SaturationMbps(harness.LoadMix, 8)
-	if cores > 0 && cores != 4 {
-		satPerShard *= float64(cores) / 4
-	}
-	offeredMbps := offered * satPerShard * float64(shards)
-	var shares [qos.NumClasses]float64
-	for _, p := range harness.LoadMix {
-		shares[p.Class] += p.Share
-	}
-
-	cl, err := cluster.New(cluster.Config{
-		Shards:        shards,
-		CoresPerShard: cores,
-		Router:        router,
-		Policy:        policy,
-		QueueRequests: true,
-		Seed:          seed,
-		Shape:         true,
-		Shaper:        qos.Config{Capacity: 2 * max(cores, 1), QueueDepth: 32},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cl.Close()
-	runner, err := cluster.NewOpenLoopRunner(cl, cluster.OpenLoopRunnerConfig{
-		Profiles:    harness.LoadMix,
-		OfferedMbps: offeredMbps,
-		Seed:        seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer runner.Close()
-
-	restartIn := int((cluster.RestartCycles(cores, src) + windowCycles - 1) / windowCycles)
-	if restartIn < 1 {
-		restartIn = 1
-	}
-	fmt.Printf("self-healing drill: %d shards x %d cores at %.2fx saturation (%.0f Mbps), %d windows x %d cycles\n",
-		shards, cores, offered, offeredMbps, windows, windowCycles)
-	fmt.Printf("schedule (seed %d): %s; restart from %s takes %d cycles (~%d windows)\n",
-		seed, sched, src.Name, cluster.RestartCycles(cores, src), restartIn)
-	fmt.Printf("%-8s %10s %10s %8s %s\n", "window", "del Mbps", "voice del%", "errors", "events")
-	lastHB := make([]uint64, shards)
-	restartAt := make(map[int]int) // shard -> due window
-	for w := 0; w < windows; w++ {
-		var notes []string
-		for _, e := range sched.ForWindow(w) {
-			if e.Kind != faults.ShardCrash {
-				continue
-			}
-			if err := cl.ArmShardCrash(e.Shard, cl.NextHeartbeat(e.Shard), e.Offset); err != nil {
-				log.Fatal(err)
-			}
-			notes = append(notes, e.String())
+// deniedClasses lists a brownout mask's denied classes, voice first.
+func deniedClasses(deny [qos.NumClasses]bool) string {
+	var shed []string
+	for _, class := range qos.Classes() {
+		if deny[class] {
+			shed = append(shed, class.String())
 		}
-		for i := 0; i < shards; i++ {
-			lastHB[i] = cl.NextHeartbeat(i)
-		}
-		win, err := runner.RunWindow(windowCycles)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < shards; i++ {
-			if cl.QuarantinedShard(i) || cl.NextHeartbeat(i) != lastHB[i] {
-				continue
-			}
-			rep, err := cl.FailOver(i)
-			if err != nil {
-				notes = append(notes, fmt.Sprintf("shard %d down, fail-over refused: %v", i, err))
-				continue
-			}
-			notes = append(notes, fmt.Sprintf("shard %d down: re-homed %d (voice first), lost %d",
-				i, rep.Moved, rep.Lost))
-			healthy := 0
-			for j := 0; j < shards; j++ {
-				if !cl.QuarantinedShard(j) {
-					healthy++
-				}
-			}
-			deny := faults.BrownoutDeny(offeredMbps, float64(healthy)*satPerShard, shares)
-			if err := cl.ApplyDeny(deny); err != nil {
-				log.Fatal(err)
-			}
-			for _, class := range qos.Classes() {
-				if deny[class] {
-					notes = append(notes, "brownout: shedding "+class.String())
-				}
-			}
-			restartAt[i] = w + restartIn
-		}
-		for i, due := range restartAt {
-			if w+1 < due {
-				continue
-			}
-			delete(restartAt, i)
-			rep, err := cl.Restart(i, src)
-			if err != nil {
-				notes = append(notes, fmt.Sprintf("shard %d restart refused: %v", i, err))
-				continue
-			}
-			// The restart swapped the shard's platform out from under the
-			// runner's per-window byte deltas; re-base them.
-			runner.Resnapshot()
-			moved, err := cl.RebalanceInto(i)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := cl.ApplyDeny([qos.NumClasses]bool{}); err != nil {
-				log.Fatal(err)
-			}
-			notes = append(notes, fmt.Sprintf("shard %d restarted from %s in %d cycles: rejoined, %d sessions back, brownout lifted",
-				i, src.Name, rep.Took, moved))
-		}
-		voice := 100.0
-		if v := win.Classes.Cell(qos.Voice); v.Submitted > 0 {
-			voice = 100 * float64(v.Completed) / float64(v.Submitted)
-		}
-		fmt.Printf("%-8d %10.0f %9.2f%% %8d %s\n",
-			w, win.Classes.DeliveredMbps(), voice, win.Errors, strings.Join(notes, "; "))
 	}
-	exitReport(cl)
+	return strings.Join(shed, ", ")
 }
 
 // flagSet reports whether a flag was passed explicitly on the command

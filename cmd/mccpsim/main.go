@@ -85,7 +85,7 @@ func main() {
 		fmt.Print(harness.FormatLoadCurve(res))
 	case *arrivalsProc != "":
 		cfg := harness.LoadCurveConfig{Process: *arrivalsProc, Drain: *drain}
-		sat := harness.SaturationMbps(harness.LoadMix, 8)
+		sat := harness.SaturationMbps(harness.LoadMix)
 		point := harness.LoadPointRun(*policy, *offered, sat, cfg)
 		fmt.Printf("open-loop %s arrivals at %.2fx saturation (%.0f Mbps), policy %s:\n",
 			*arrivalsProc, *offered, sat, *policy)

@@ -253,7 +253,11 @@ type Cluster struct {
 	// Per-shard routing state, owned by the front end. bytesRouted is the
 	// offered load (routing signal, counted at enqueue); bytesDone counts
 	// only payload bytes whose operation completed without error and has
-	// been delivered. shardSessions and the byte counters are atomics so
+	// been delivered, open-loop arrivals included. bytesOpen is the
+	// open-loop arrivals' offered volume: it joins bytesRouted in
+	// Metrics.OfferedBytes but stays out of the routing signal, whose
+	// rebalances must not see a window's arrivals as session load.
+	// shardSessions and the byte counters are atomics so
 	// Snapshot can read them from any goroutine while the front end runs;
 	// they are still written only by the front-end goroutine.
 	shardSessions []atomic.Int64
@@ -266,6 +270,7 @@ type Cluster struct {
 	hpPending     []int
 	bytesRouted   []atomic.Uint64
 	bytesDone     []atomic.Uint64
+	bytesOpen     []atomic.Uint64
 	hashCores     []int
 	// inactive marks shards withdrawn from routing (fleet drain, scale-in):
 	// views() hides them, so Open and Rebalance place sessions only on
@@ -344,6 +349,7 @@ func New(cfg Config) (*Cluster, error) {
 		hpPending:     make([]int, cfg.Shards),
 		bytesRouted:   make([]atomic.Uint64, cfg.Shards),
 		bytesDone:     make([]atomic.Uint64, cfg.Shards),
+		bytesOpen:     make([]atomic.Uint64, cfg.Shards),
 		hashCores:     make([]int, cfg.Shards),
 		inactive:      make([]bool, cfg.Shards),
 		quarantined:   make([]bool, cfg.Shards),

@@ -689,6 +689,39 @@ func TestOpenLoopDeterminism(t *testing.T) {
 	}
 }
 
+// TestOpenLoopRunnerCountsBytes: open-loop arrivals reach the shard
+// byte counters — each shard's delivered Bytes is the sum of its class
+// Bytes and OfferedBytes covers every arrival — while the router's
+// ShardView.Bytes signal stays what session traffic alone made it.
+func TestOpenLoopRunnerCountsBytes(t *testing.T) {
+	cl, r := faultCluster(t, 5)
+	before := cl.views()
+	if _, err := r.RunWindow(200000); err != nil {
+		t.Fatal(err)
+	}
+	snap := cl.Snapshot()
+	var total uint64
+	for _, sm := range snap.Shards {
+		var classBytes uint64
+		for _, cs := range sm.Classes {
+			classBytes += cs.Bytes
+		}
+		if sm.Bytes != classBytes {
+			t.Errorf("shard %d: Bytes %d, class Bytes sum %d", sm.Shard, sm.Bytes, classBytes)
+		}
+		if sm.OfferedBytes == 0 || sm.OfferedBytes < sm.Bytes {
+			t.Errorf("shard %d: OfferedBytes %d with %d delivered", sm.Shard, sm.OfferedBytes, sm.Bytes)
+		}
+		total += sm.Bytes
+	}
+	if total == 0 || snap.Bytes != total || snap.AggregateSimMbps <= 0 {
+		t.Fatalf("cluster Bytes %d (shard sum %d), %v Mbps aggregate", snap.Bytes, total, snap.AggregateSimMbps)
+	}
+	if after := cl.views(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("open-loop window moved the routing views:\n%+v\n%+v", before, after)
+	}
+}
+
 // TestOpenLoopAttribution: every shard attributes every class, the
 // aggregate adds up, and cross-shard latency percentiles are readable.
 func TestOpenLoopAttribution(t *testing.T) {

@@ -337,6 +337,8 @@ func (r *OpenLoopRunner) RunWindow(horizon sim.Time) (OpenLoopWindow, error) {
 		}
 		w.ArrivalDigests[shardID] = p.digest
 		w.ShardCycles[shardID] = p.cycles
+		r.cl.bytesOpen[shardID].Add(p.offered)
+		r.cl.bytesDone[shardID].Add(p.delivered)
 		w.Digest = (w.Digest ^ p.digest) * 0x100000001b3
 		w.Errors += p.errors
 	}

@@ -166,7 +166,7 @@ func (c *Cluster) buildMetrics(frontEnd bool) Metrics {
 			Sessions:      int(c.shardSessions[i].Load()),
 			Packets:       snap.completions,
 			Bytes:         done,
-			OfferedBytes:  c.bytesRouted[i].Load(),
+			OfferedBytes:  c.bytesRouted[i].Load() + c.bytesOpen[i].Load(),
 			AuthFails:     snap.authFails,
 			Rejected:      snap.rejected,
 			Queued:        snap.queued,

@@ -22,9 +22,9 @@ import (
 //     then rejoins the shard to the healthy pool. This is the paper's
 //     partial-reconfiguration story applied to fault recovery: a crypto
 //     core is a bitstream, so a dead one can be reloaded.
-//   - Unquarantine lifts a quarantine that turned out to be premature (a
-//     stall the detector or an operator mistook for a crash): the shard
-//     never died, its heartbeat resumed, and it only needs re-admitting.
+//   - Unquarantine lifts a quarantine an operator placed on a shard that
+//     never died (the fleet supervisor's detector never quarantines a
+//     stall, whose heartbeat keeps advancing): it only needs re-admitting.
 //   - RebalanceInto shifts load back onto one just-rejoined shard,
 //     voice-first, without disturbing placements that would not land there.
 
@@ -41,8 +41,8 @@ type RestartReport struct {
 // RestartCycles returns the expected virtual duration of a shard restart
 // from src: every core region is rewritten with the base AES bitstream
 // through the single ICAP port, so the cost is cores sequential swaps.
-// The server's fault policy uses it to schedule the rejoin window before
-// the restart has run.
+// The fleet supervisor uses it to schedule the rejoin window before the
+// restart has run.
 func RestartCycles(cores int, src reconfig.Source) sim.Time {
 	per := src.Cycles(reconfig.BitstreamBytes(reconfig.EngineAES.Component()), sim.DefaultFreqHz) +
 		firmware.ImageWordsLoadCycles
@@ -135,9 +135,8 @@ func (c *Cluster) Restart(id int, src reconfig.Source) (RestartReport, error) {
 	return rep, nil
 }
 
-// Unquarantine lifts a quarantine without a rebuild — the un-freeze path
-// for a shard that stalled rather than died (its heartbeat resumed, so
-// the crash never happened). A genuine corpse (crashed flag set) is
+// Unquarantine lifts a quarantine without a rebuild — the path for a
+// shard that was quarantined while still alive. A genuine corpse (crashed flag set) is
 // refused: its shaper is dead and its channel state gone, so only
 // Restart can bring it back. Sessions re-homed off the shard while it
 // was quarantined stay where they landed; RebalanceInto shifts load back.

@@ -326,6 +326,10 @@ type openLoopProgram struct {
 	digest   uint64
 	cycles   sim.Time
 	errors   int
+	// offered/delivered are the window's arrival payload bytes: every
+	// arrival, and those completed without error.
+	offered   uint64
+	delivered uint64
 }
 
 // RunOpenLoop drives the open-loop class mix through a shaped cluster and
@@ -476,9 +480,14 @@ func runOpenLoopShard(sh *shard, p *openLoopProgram, procName string, horizon si
 		em := arrivals.NewEmitter(sh.eng, prof, uint64(i), &p.digest,
 			func(class qos.Class, nonce, payload []byte, deadline sim.Time) {
 				outstanding++
+				n := uint64(len(payload))
+				p.offered += n
 				sh.shaper.EncryptDeadline(class, ses.chID, nonce, nil, payload, deadline,
 					func(_ []byte, err error) {
 						outstanding--
+						if err == nil {
+							p.delivered += n
+						}
 						if !arrivals.ExpectedVerdict(err) {
 							p.errors++
 						}

@@ -112,7 +112,7 @@ func TestScaleSkipsQuarantinedShards(t *testing.T) {
 	f := New(cl)
 	sessions := openSessions(t, cl, 6)
 
-	rep, err := f.FailOver(1)
+	rep, err := cl.FailOver(1)
 	if err != nil {
 		t.Fatal(err)
 	}

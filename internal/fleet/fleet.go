@@ -1,11 +1,14 @@
 // Package fleet is the elastic control plane over a cluster: rolling
 // per-shard algorithm swaps (drain voice-first, rewrite the
 // reconfigurable region while the remaining shards keep serving, then
-// re-admit) and a hysteresis autoscaler that grows or shrinks the
-// serving shard set from the arrivals offered-load signal versus the
-// E13-calibrated saturation knee. It is the paper's §VII.B runtime
-// agility lifted from a single device to the cluster — the machinery
-// behind the E15 "agility cost under traffic" experiment.
+// re-admit), a hysteresis autoscaler that grows or shrinks the serving
+// shard set from the arrivals offered-load signal versus the
+// E13-calibrated saturation knee, and the self-healing Supervisor that
+// detects crashed shards, fails them over, browns out, restarts them by
+// bitstream reload and lifts the brownout. It is the paper's §VII.B
+// runtime agility lifted from a single device to the cluster — the
+// machinery behind E15 (agility under traffic) and E16/E17 (faults and
+// recovery).
 package fleet
 
 import (
@@ -32,15 +35,6 @@ func (f *Fleet) Cluster() *cluster.Cluster { return f.cl }
 
 // Active returns the number of shards currently serving placements.
 func (f *Fleet) Active() int { return f.cl.ActiveShards() }
-
-// FailOver is the fleet-level crash response: quarantine a dead shard
-// (detected by its frozen heartbeat in cluster.Snapshot) and re-home
-// every session it held onto the survivors, voice first. See
-// cluster.FailOver; a quarantined shard stays out of every later Scale
-// and RollingSwap rotation.
-func (f *Fleet) FailOver(dead int) (cluster.RehomeReport, error) {
-	return f.cl.FailOver(dead)
-}
 
 // ScaleReport describes one Scale call.
 type ScaleReport struct {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mccp/internal/faults"
+	"mccp/internal/fleet"
 	"mccp/internal/qos"
 	"mccp/internal/server"
 	"mccp/internal/sim"
@@ -13,8 +14,8 @@ import (
 // This file is experiment E16: fault curves. The E14 wire pipeline runs
 // at a fixed offered load (0.9x saturation — busy but not yet over the
 // knee) while a seeded fault schedule kills shards mid-window and a
-// session-churn storm hammers the control plane. The server's failure
-// detector notices each frozen heartbeat at the next FLUSH boundary,
+// session-churn storm hammers the control plane. The server's fleet
+// supervisor notices each frozen heartbeat at the next FLUSH boundary,
 // quarantines the corpse, re-homes its sessions voice-first onto the
 // survivors and sheds lower classes (brownout) when the surviving
 // capacity no longer covers the offered load. The table sweeps fault
@@ -50,10 +51,11 @@ type FaultConfig struct {
 	// FaultWindow is the window the first crash lands in; churn starts
 	// at the same boundary (default Windows/3).
 	FaultWindow int
-	// VoiceRecovered is the per-window voice delivered fraction that
-	// counts as recovered (default 0.99).
-	VoiceRecovered float64
 }
+
+// voiceRecovered is the per-window voice delivered fraction that counts
+// as recovered in E16 and E17.
+const voiceRecovered = 0.99
 
 func (c *FaultConfig) fill() {
 	if c.Wire.Shards <= 0 {
@@ -81,9 +83,6 @@ func (c *FaultConfig) fill() {
 			c.FaultWindow = 1
 		}
 	}
-	if c.VoiceRecovered <= 0 {
-		c.VoiceRecovered = 0.99
-	}
 }
 
 // FaultPoint is one (policy, fault intensity) measurement.
@@ -98,7 +97,7 @@ type FaultPoint struct {
 	Failover
 	// RecoveryCycles is the worst crash-to-recovered span on the wire
 	// clock: from the crash's fire point to the end of the first window
-	// whose voice delivered fraction is back at VoiceRecovered.
+	// whose voice delivered fraction is back at voiceRecovered.
 	// Recovered reports every crash recovered within the horizon.
 	RecoveryCycles sim.Time
 	Recovered      bool
@@ -115,14 +114,14 @@ type Failover struct {
 	Schedule string
 	// Rehomes is the detector's fail-over log; Moved/Lost/RehomeTook
 	// aggregate it (RehomeTook is the worst single fail-over).
-	Rehomes    []server.RehomeEvent
+	Rehomes    []fleet.RehomeEvent
 	Moved      int
 	Lost       int
 	RehomeTook sim.Time
 }
 
 // failoverOf summarizes a drill's schedule and fail-over log.
-func failoverOf(sched faults.Schedule, rehomes []server.RehomeEvent) Failover {
+func failoverOf(sched faults.Schedule, rehomes []fleet.RehomeEvent) Failover {
 	f := Failover{Schedule: sched.String(), Rehomes: rehomes}
 	for _, ev := range rehomes {
 		f.Moved += ev.Moved
@@ -134,16 +133,15 @@ func failoverOf(sched faults.Schedule, rehomes []server.RehomeEvent) Failover {
 	return f
 }
 
-// faultPolicy arms a server's fault plane with sched: the detector on,
-// and the brownout sized for offered x satMbps of the config's mix.
-func (c WireConfig) faultPolicy(sched faults.Schedule, offered, satMbps float64) *server.FaultPolicy {
+// faultPolicy arms a server's supervisor with sched and sizes the
+// brownout for offered x satMbps of the config's mix.
+func (c WireConfig) faultPolicy(sched faults.Schedule, offered, satMbps float64) *fleet.Policy {
 	var shares [qos.NumClasses]float64
 	for _, p := range c.Mix {
 		shares[p.Class] += p.Share
 	}
-	return &server.FaultPolicy{
+	return &fleet.Policy{
 		Schedule:        sched,
-		Detect:          true,
 		OfferedMbps:     offered * satMbps,
 		SatMbpsPerShard: satMbps / float64(c.Shards),
 		Shares:          shares,
@@ -215,7 +213,7 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 		Churned:   res.Churned,
 		Windows:   res.Windows,
 	}
-	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, res.Windows)
+	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, res.Windows)
 	if inspect != nil {
 		inspect(srv)
 	}
@@ -225,9 +223,9 @@ func faultPointRun(policy string, row FaultRow, satMbps float64, cfg FaultConfig
 // recoveryOf derives the worst crash recovery span: for each scheduled
 // crash, the wire-clock distance from its fire point to the end of the
 // first window (at or after the crash window) whose voice delivered
-// fraction is back at the threshold. A crash with no such window inside
+// fraction is back at voiceRecovered. A crash with no such window inside
 // the horizon reports recovered == false.
-func recoveryOf(sched faults.Schedule, windowCycles sim.Time, threshold float64, wins []server.WindowLoad) (sim.Time, bool) {
+func recoveryOf(sched faults.Schedule, windowCycles sim.Time, wins []server.WindowLoad) (sim.Time, bool) {
 	var worst sim.Time
 	recovered := true
 	for _, e := range sched.Events {
@@ -237,7 +235,7 @@ func recoveryOf(sched faults.Schedule, windowCycles sim.Time, threshold float64,
 		crashAt := sim.Time(e.Window)*windowCycles + e.Offset
 		found := false
 		for w := e.Window; w < len(wins); w++ {
-			if wins[w].DeliveredFrac(qos.Voice) >= threshold {
+			if wins[w].DeliveredFrac(qos.Voice) >= voiceRecovered {
 				if d := sim.Time(w+1)*windowCycles - crashAt; d > worst {
 					worst = d
 				}

@@ -65,7 +65,7 @@ func TestFaultZeroRowMatchesWireBaseline(t *testing.T) {
 	cfg.Rows = []FaultRow{{0, 0}}
 	cfg.Policies = []string{"qos-priority"}
 	cfg.fill()
-	sat := SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
+	sat := SaturationMbps(cfg.Wire.Mix) * float64(cfg.Wire.Shards) *
 		float64(cfg.Wire.CoresPerShard) / 4
 
 	fault := FaultPointRun("qos-priority", FaultRow{0, 0}, sat, cfg)

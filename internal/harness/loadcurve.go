@@ -39,13 +39,17 @@ var LoadMix = []arrivals.ClassProfile{
 // twice saturation.
 var DefaultOfferedPoints = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0}
 
+// satPackets sizes each per-family calibration run behind
+// SaturationMbps.
+const satPackets = 8
+
 // SaturationMbps calibrates the device's nominal capacity for a class mix
 // as the share-weighted harmonic blend of the per-family four-core
 // throughputs (harmonic, because the classes time-share one device). The
-// result is deterministic; packets sizes the calibration runs.
-func SaturationMbps(mix []arrivals.ClassProfile, packets int) float64 {
-	capGCM := MeasureThroughput(cryptocore.FamilyGCM, GCM4x1, 16, PacketBytes, packets)
-	capCCM := MeasureThroughput(cryptocore.FamilyCCM, CCM4x1, 16, 256, packets)
+// result is deterministic; satPackets sizes the calibration runs.
+func SaturationMbps(mix []arrivals.ClassProfile) float64 {
+	capGCM := MeasureThroughput(cryptocore.FamilyGCM, GCM4x1, 16, PacketBytes, satPackets)
+	capCCM := MeasureThroughput(cryptocore.FamilyCCM, CCM4x1, 16, 256, satPackets)
 	denom := 0.0
 	for _, p := range mix {
 		c := capGCM
@@ -96,8 +100,6 @@ type LoadCurveConfig struct {
 	// bounded element that converts overload into shed/expired verdicts.
 	Capacity, QueueDepth int
 	Seed                 uint64
-	// SatPackets sizes the capacity calibration (default 8).
-	SatPackets int
 }
 
 func (c *LoadCurveConfig) fill() {
@@ -118,9 +120,6 @@ func (c *LoadCurveConfig) fill() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
-	}
-	if c.SatPackets <= 0 {
-		c.SatPackets = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 29
@@ -152,7 +151,7 @@ func (r LoadCurveResult) PolicyPoints(policy string) []LoadPoint {
 // of the configuration.
 func LoadCurve(cfg LoadCurveConfig) LoadCurveResult {
 	cfg.fill()
-	sat := SaturationMbps(cfg.Mix, cfg.SatPackets)
+	sat := SaturationMbps(cfg.Mix)
 	res := LoadCurveResult{SaturationMbps: sat, Drain: cfg.Drain}
 	if res.Drain == "" {
 		res.Drain = qos.DrainStrict

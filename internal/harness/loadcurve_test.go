@@ -124,7 +124,7 @@ func TestLoadCurveVoiceProtection(t *testing.T) {
 func TestLoadPointDeterminism(t *testing.T) {
 	cfg := LoadCurveConfig{BackgroundPackets: 80}
 	cfg.fill()
-	sat := SaturationMbps(cfg.Mix, cfg.SatPackets)
+	sat := SaturationMbps(cfg.Mix)
 	a := LoadPointRun("qos-priority", 1.25, sat, cfg)
 	b := LoadPointRun("qos-priority", 1.25, sat, cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -141,7 +141,7 @@ func TestLoadPointDeterminism(t *testing.T) {
 func TestLoadCurveProcesses(t *testing.T) {
 	base := LoadCurveConfig{BackgroundPackets: 150}
 	base.fill()
-	sat := SaturationMbps(base.Mix, base.SatPackets)
+	sat := SaturationMbps(base.Mix)
 
 	det := base
 	det.Process = "deterministic"

@@ -31,12 +31,6 @@ type ReconfigLoadConfig struct {
 	// Sources are the bitstream sources swept (default the paper's
 	// CompactFlash and staging RAM plus the native-ICAP fast source).
 	Sources []reconfig.Source
-	// Target is the engine swapped in on core 0 of every shard. The zero
-	// value selects Whirlpool (the paper's §VII.B demonstration: the
-	// fleet gains hash capability, paying one AES core per shard); an
-	// explicit AES target is not distinguishable from unset and is
-	// normalized to Whirlpool.
-	Target reconfig.Engine
 	// Shards and CoresPerShard size the cluster (defaults 4 and 4).
 	Shards, CoresPerShard int
 	// Offered is the cluster-total offered load as a fraction of the
@@ -47,12 +41,9 @@ type ReconfigLoadConfig struct {
 	// TimeScale compresses the bitstream windows: each source is sped up
 	// by up to this factor (default 64) so a CompactFlash swap (~72M
 	// cycles at full scale) stays simulable, but never so far that a
-	// window drops below MinWindowCycles. Reported true durations are
+	// window drops below minSwapWindow. Reported true durations are
 	// always at full scale.
 	TimeScale float64
-	// MinWindowCycles floors the compressed window (default 50000) so
-	// fast sources still yield a statistically meaningful measurement.
-	MinWindowCycles sim.Time
 	// Process names the arrival process (default poisson); Mix the class
 	// mix (default LoadMix).
 	Process string
@@ -65,9 +56,16 @@ type ReconfigLoadConfig struct {
 	// first-idle's climbs).
 	Capacity, QueueDepth int
 	Seed                 uint64
-	// SatPackets sizes the capacity calibration (default 8).
-	SatPackets int
 }
+
+// swapTarget is the engine swapped in on core 0 of every shard: the
+// paper's §VII.B demonstration, where the fleet gains hash capability
+// and pays one AES core per shard.
+const swapTarget = reconfig.EngineWhirlpool
+
+// minSwapWindow floors a compressed swap window so fast sources still
+// yield a statistically meaningful measurement.
+const minSwapWindow sim.Time = 50000
 
 func (c *ReconfigLoadConfig) fill() {
 	if len(c.Policies) == 0 {
@@ -82,15 +80,11 @@ func (c *ReconfigLoadConfig) fill() {
 	if c.CoresPerShard <= 0 {
 		c.CoresPerShard = 4
 	}
-	c.Target = reconfig.EngineWhirlpool
 	if c.Offered <= 0 {
 		c.Offered = 0.9
 	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 64
-	}
-	if c.MinWindowCycles <= 0 {
-		c.MinWindowCycles = 50000
 	}
 	if c.Process == "" {
 		c.Process = arrivals.ProcPoisson
@@ -107,17 +101,14 @@ func (c *ReconfigLoadConfig) fill() {
 	if c.Seed == 0 {
 		c.Seed = 31
 	}
-	if c.SatPackets <= 0 {
-		c.SatPackets = 8
-	}
 }
 
 // effectiveScale compresses src by at most cfg.TimeScale while keeping
 // the swap window at or above the floor.
 func (c ReconfigLoadConfig) effectiveScale(src reconfig.Source) float64 {
-	window := float64(fleet.SwapWindow(c.Target, src))
+	window := float64(fleet.SwapWindow(swapTarget, src))
 	scale := c.TimeScale
-	if floor := window / float64(c.MinWindowCycles); floor < scale {
+	if floor := window / float64(minSwapWindow); floor < scale {
 		scale = floor
 	}
 	if scale < 1 {
@@ -179,13 +170,13 @@ type ReconfigLoadResult struct {
 // splittable PRNG.
 func ReconfigUnderLoad(cfg ReconfigLoadConfig) ReconfigLoadResult {
 	cfg.fill()
-	sat := SaturationMbps(cfg.Mix, cfg.SatPackets) * float64(cfg.CoresPerShard) / 4
+	sat := SaturationMbps(cfg.Mix) * float64(cfg.CoresPerShard) / 4
 	res := ReconfigLoadResult{
 		SaturationMbps: sat,
 		OfferedMbps:    cfg.Offered * sat * float64(cfg.Shards),
 		Offered:        cfg.Offered,
 		Shards:         cfg.Shards,
-		Target:         cfg.Target.String(),
+		Target:         swapTarget.String(),
 	}
 	for _, pol := range cfg.Policies {
 		for _, src := range cfg.Sources {
@@ -219,7 +210,7 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 	run := ReconfigRun{
 		Policy:           policy,
 		Source:           src.Name,
-		TrueWindowMillis: float64(fleet.SwapWindow(cfg.Target, src)) / sim.DefaultFreqHz * 1e3,
+		TrueWindowMillis: float64(fleet.SwapWindow(swapTarget, src)) / sim.DefaultFreqHz * 1e3,
 		Scale:            scale,
 		Digest:           arrivals.DigestInit,
 	}
@@ -234,7 +225,7 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 		panic(err)
 	}
 	f := fleet.New(cl)
-	window := fleet.SwapWindow(cfg.Target, scaled)
+	window := fleet.SwapWindow(swapTarget, scaled)
 	run.SwapCycles = window
 
 	fold := func(w cluster.OpenLoopWindow) {
@@ -256,7 +247,7 @@ func reconfigRun(policy string, src reconfig.Source, satPerShard float64, cfg Re
 	var legStats [qos.NumClasses]*qos.ClassStats
 	var legSamples [qos.NumClasses][]sim.Time
 	legs := 0
-	reports, err := f.RollingSwap(0, cfg.Target, scaled,
+	reports, err := f.RollingSwap(0, swapTarget, scaled,
 		func(shard int, legWindow sim.Time) error {
 			w, err := runner.RunWindow(legWindow)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mccp/internal/faults"
+	"mccp/internal/fleet"
 	"mccp/internal/qos"
 	"mccp/internal/reconfig"
 	"mccp/internal/server"
@@ -13,7 +14,7 @@ import (
 
 // This file is experiment E17: recovery curves. E16 measured the fall —
 // crash, detection, fail-over, brownout floor. E17 measures the climb
-// back: with the server's restart loop armed, the quarantined corpse is
+// back: with the supervisor's restart armed, the quarantined corpse is
 // rebuilt by streaming the base bitstream back in at one of the paper's
 // Table IV source speeds (CompactFlash, staging RAM, or the ICAP-rate
 // ceiling), rejoined to the pool, reloaded voice-first, and the brownout
@@ -51,13 +52,11 @@ type RecoveryConfig struct {
 	Policies []string
 	// FaultWindow is the window the crash lands in (default Windows/3).
 	FaultWindow int
-	// VoiceRecovered is the per-window voice delivered fraction that
-	// counts as voice recovery (default 0.99); CapacityFrac the fraction
-	// of the pre-crash delivered rate that counts as full capacity
-	// restored (default 0.95).
-	VoiceRecovered float64
-	CapacityFrac   float64
 }
+
+// capacityFrac is the fraction of the pre-crash delivered rate that
+// counts as full capacity restored.
+const capacityFrac = 0.95
 
 func (c *RecoveryConfig) fill() {
 	if c.Wire.Shards <= 0 {
@@ -88,12 +87,6 @@ func (c *RecoveryConfig) fill() {
 			c.FaultWindow = 1
 		}
 	}
-	if c.VoiceRecovered <= 0 {
-		c.VoiceRecovered = 0.99
-	}
-	if c.CapacityFrac <= 0 {
-		c.CapacityFrac = 0.95
-	}
 }
 
 // RecoveryPoint is one (policy, bitstream source) drill.
@@ -109,7 +102,7 @@ type RecoveryPoint struct {
 	Failover
 	// Heals is the recovery plane's action log: the restart, the
 	// rebalance back, and each brownout lift.
-	Heals []server.HealEvent
+	Heals []fleet.HealEvent
 	// RestartCycles is the bitstream reload's virtual duration on the
 	// rebuilt shard's timeline (at the TimeScale-compressed source);
 	// TrueRestartMillis undoes the compression — the reload at the
@@ -124,7 +117,7 @@ type RecoveryPoint struct {
 	BrownoutLifted  bool
 	// RecoveryCycles is the crash-to-voice-recovered span (E16's
 	// definition); CapacityCycles the crash to the first post-rejoin
-	// window delivering CapacityFrac of the pre-crash rate.
+	// window delivering capacityFrac of the pre-crash rate.
 	RecoveryCycles   sim.Time
 	Recovered        bool
 	CapacityCycles   sim.Time
@@ -158,10 +151,9 @@ func RecoveryCurves(cfg RecoveryConfig) RecoveryResult {
 		TimeScale:      cfg.TimeScale,
 	}
 	base := FaultConfig{
-		Wire:           cfg.Wire,
-		Offered:        cfg.Offered,
-		FaultWindow:    cfg.FaultWindow,
-		VoiceRecovered: cfg.VoiceRecovered,
+		Wire:        cfg.Wire,
+		Offered:     cfg.Offered,
+		FaultWindow: cfg.FaultWindow,
 	}
 	res.Baseline = FaultPointRun(cfg.Policies[0], FaultRow{}, sat, base)
 	for _, pol := range cfg.Policies {
@@ -193,7 +185,7 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 		panic(err) // experiment drivers pass literal configurations
 	}
 	fp := wire.faultPolicy(sched, cfg.Offered, satMbps)
-	fp.Restart, fp.RestartSource, fp.WindowCycles = true, src.Scaled(cfg.TimeScale), wire.WindowCycles
+	fp.RestartSource, fp.WindowCycles = src.Scaled(cfg.TimeScale), wire.WindowCycles
 	load := wire.loadConfig(cfg.Offered, satMbps)
 	load.WindowTallies = true
 	srv, res := wire.serve(fp, load)
@@ -235,9 +227,9 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 		}
 	}
 	point.TrueRestartMillis = float64(point.RestartCycles) * cfg.TimeScale / sim.DefaultFreqHz * 1e3
-	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, cfg.VoiceRecovered, res.Windows)
+	point.RecoveryCycles, point.Recovered = recoveryOf(sched, wire.WindowCycles, res.Windows)
 	point.CapacityCycles, point.CapacityRestored = capacityOf(sched, wire.WindowCycles,
-		cfg.CapacityFrac, cfg.FaultWindow, point.RejoinWindow, res.Windows)
+		cfg.FaultWindow, point.RejoinWindow, res.Windows)
 	return point
 }
 
@@ -245,9 +237,9 @@ func RecoveryPointRun(policy string, src reconfig.Source, satMbps float64, cfg R
 // delivered rate is the mean per-window OK count over the steady windows
 // before the crash (skipping two warm-up windows), and capacity counts
 // as restored at the end of the first window at or after the rejoin
-// delivering at least frac of that rate. rejoin < 0 (never rejoined)
+// delivering at least capacityFrac of that rate. rejoin < 0 (never rejoined)
 // reports restored == false.
-func capacityOf(sched faults.Schedule, windowCycles sim.Time, frac float64,
+func capacityOf(sched faults.Schedule, windowCycles sim.Time,
 	faultWindow, rejoin int, wins []server.WindowLoad) (sim.Time, bool) {
 	if rejoin < 0 || len(wins) == 0 {
 		return 0, false
@@ -281,7 +273,7 @@ func capacityOf(sched faults.Schedule, windowCycles sim.Time, frac float64,
 		return 0, false
 	}
 	for w := rejoin; w < len(wins); w++ {
-		if float64(total(wins[w])) >= frac*steady {
+		if float64(total(wins[w])) >= capacityFrac*steady {
 			return sim.Time(w+1)*windowCycles - crashAt, true
 		}
 	}

@@ -102,14 +102,13 @@ func TestRecoveryCurvesShape(t *testing.T) {
 func TestRecoveryBaselineMatchesFaultZeroRow(t *testing.T) {
 	cfg := recoveryTestConfig()
 	cfg.fill()
-	sat := SaturationMbps(cfg.Wire.Mix, cfg.Wire.SatPackets) * float64(cfg.Wire.Shards) *
+	sat := SaturationMbps(cfg.Wire.Mix) * float64(cfg.Wire.Shards) *
 		float64(cfg.Wire.CoresPerShard) / 4
 	res := RecoveryCurves(recoveryTestConfig())
 	base := FaultPointRun("qos-priority", FaultRow{}, sat, FaultConfig{
-		Wire:           cfg.Wire,
-		Offered:        cfg.Offered,
-		FaultWindow:    cfg.FaultWindow,
-		VoiceRecovered: cfg.VoiceRecovered,
+		Wire:        cfg.Wire,
+		Offered:     cfg.Offered,
+		FaultWindow: cfg.FaultWindow,
 	})
 	if !reflect.DeepEqual(res.Baseline, base) {
 		t.Fatalf("E17 baseline diverges from the E16 zero-fault row:\n%+v\nvs\n%+v",

@@ -107,7 +107,7 @@ type StageCurveResult struct {
 // pipeline is bit-identical to the untraced one.
 func StageAttribution(cfg StageCurveConfig) StageCurveResult {
 	cfg.fill()
-	sat := SaturationMbps(cfg.Load.Mix, cfg.Load.SatPackets)
+	sat := SaturationMbps(cfg.Load.Mix)
 	res := StageCurveResult{SaturationMbps: sat}
 	for _, pol := range cfg.Policies {
 		for _, offered := range cfg.Offered {
@@ -190,7 +190,7 @@ func FormatStageAttribution(r StageCurveResult) string {
 func obsSmokeLoad() (string, float64, float64, LoadCurveConfig) {
 	cfg := LoadCurveConfig{BackgroundPackets: 120}
 	cfg.fill()
-	return "qos-priority", 1.5, SaturationMbps(cfg.Mix, cfg.SatPackets), cfg
+	return "qos-priority", 1.5, SaturationMbps(cfg.Mix), cfg
 }
 
 // ObsSmoke runs the CI observability gate: the observability plane must

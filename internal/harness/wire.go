@@ -8,6 +8,7 @@ import (
 	"mccp/internal/arrivals"
 	"mccp/internal/cluster"
 	"mccp/internal/cryptocore"
+	"mccp/internal/fleet"
 	"mccp/internal/qos"
 	"mccp/internal/server"
 	"mccp/internal/sim"
@@ -67,11 +68,6 @@ type WireConfig struct {
 	Mix     []arrivals.ClassProfile
 	Process string
 	Seed    uint64
-	// SatMbps overrides the calibrated cluster saturation (0 =
-	// calibrate: per-shard mix saturation times the shard count).
-	SatMbps float64
-	// SatPackets sizes the calibration (default 8).
-	SatPackets int
 }
 
 func (c *WireConfig) fill() {
@@ -113,9 +109,6 @@ func (c *WireConfig) fill() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 31
-	}
-	if c.SatPackets <= 0 {
-		c.SatPackets = 8
 	}
 }
 
@@ -176,12 +169,9 @@ func WirePointRun(offered, satMbps float64, cfg WireConfig) WirePoint {
 
 // saturation is the calibrated cluster capacity for the mix: the
 // per-shard mix saturation times the shard count, scaled to the cores
-// per shard (SatMbps overrides it). The config must be filled.
+// per shard. The config must be filled.
 func (c WireConfig) saturation() float64 {
-	if c.SatMbps > 0 {
-		return c.SatMbps
-	}
-	return SaturationMbps(c.Mix, c.SatPackets) * float64(c.Shards) * float64(c.CoresPerShard) / 4
+	return SaturationMbps(c.Mix) * float64(c.Shards) * float64(c.CoresPerShard) / 4
 }
 
 // loadConfig is the open-loop client load at offered x satMbps.
@@ -198,10 +188,10 @@ func (c WireConfig) loadConfig(offered, satMbps float64) server.LoadConfig {
 }
 
 // serve starts a loopback mccpserver in front of a fresh cluster built
-// from the config — with its fault plane armed when faults is set — and
+// from the config — with its fleet supervisor armed when faults is set — and
 // replays load through it on one connection. The caller closes the
 // returned server.
-func (c WireConfig) serve(faults *server.FaultPolicy, load server.LoadConfig) (*server.Server, server.LoadResult) {
+func (c WireConfig) serve(faults *fleet.Policy, load server.LoadConfig) (*server.Server, server.LoadResult) {
 	srv, err := server.New(server.Config{
 		Cluster: cluster.Config{
 			Shards:        c.Shards,
@@ -303,7 +293,7 @@ func FormatWireLatency(r WireResult) string {
 // point, and may shed no voice packet. Small on purpose: one offered
 // point, a short window, 64 sessions. Measured is the WirePoint.
 func WireSmoke() Verdict {
-	e13 := LoadPointRun("qos-priority", 0.5, SaturationMbps(LoadMix, 8),
+	e13 := LoadPointRun("qos-priority", 0.5, SaturationMbps(LoadMix),
 		LoadCurveConfig{BackgroundPackets: 120})
 	res := WireLatency(WireConfig{
 		Sessions:     64,
